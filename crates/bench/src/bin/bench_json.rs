@@ -29,16 +29,15 @@
 //!   dedup ratio and the top-down/bottom-up scan split (the PR-5
 //!   trajectory). Every shared run is verified slot-for-slot against the
 //!   per-query answers before timing is recorded;
-//! * **lane_width** — the wide-lane MS-BFS engine across cohort lane
-//!   widths (64/128/256 pairs per traversal) × frontier policies (α/β
-//!   direction hysteresis vs the legacy fixed switch), single worker, over
-//!   a dedicated shared-endpoint batch (64 sources × 4 targets at k = 6
-//!   on a sparse 60 K-vertex graph — ~220 distinct pairs, four 64-lane
-//!   cohorts vs one 256-lane cohort) and the suite's uniform batch (where
-//!   the cost model should dissolve cohorts into singletons): whole-batch
-//!   and Phase-1-only wall time, speedup of each width over the 64-lane
-//!   hysteresis baseline, cohort counts and the bottom-up scan share (the
-//!   PR-10 trajectory). Every configuration is verified slot-for-slot
+//! * **lane_width** — the wide-lane MS-BFS engine at both cohort lane
+//!   widths (64 and 256 pairs per traversal), single worker, over a
+//!   dedicated shared-endpoint batch (64 sources × 4 targets at k = 6 on a
+//!   sparse 60 K-vertex graph — ~220 distinct pairs, four 64-lane cohorts
+//!   vs one 256-lane cohort) and the suite's uniform batch (where the cost
+//!   model should dissolve cohorts into singletons): whole-batch and
+//!   Phase-1-only wall time, speedup of the 256-lane width over the 64-lane
+//!   baseline, cohort counts and the bottom-up scan share (the PR-10
+//!   trajectory). Every configuration is verified slot-for-slot
 //!   against the per-query answers before timing is recorded, sampled
 //!   warm in two time-separated rounds and reported best-of-samples
 //!   (deterministic replay — see [`min_ns`]);
@@ -62,12 +61,11 @@
 use std::time::{Duration, Instant};
 
 use spg_core::{
-    apply_delta_scoped, BatchExecutor, CachedEve, Eve, LaneWidth, PhaseTimings, Query,
-    QueryWorkspace, SpgCache,
+    apply_delta_scoped, BatchExecutor, BatchOutcome, CachedEve, Eve, FlightGroup, LaneWidth,
+    PhaseTimings, Query, QueryWorkspace, SpgCache,
 };
 use spg_graph::generators::{gnm_random, TransactionGraph, TransactionGraphConfig};
 use spg_graph::traversal::MAX_LANES;
-use spg_graph::FrontierPolicy;
 use spg_graph::{DiGraph, EdgeDelta, VersionedGraph};
 use spg_workloads::{
     reachable_queries, repeat_heavy_queries, shared_endpoint_queries, skewed_queries,
@@ -227,6 +225,15 @@ fn thread_scaling(
     rows
 }
 
+/// One cached drain with a drain-local flight group and no deadlines.
+fn run_cached(
+    executor: &BatchExecutor,
+    cached: &CachedEve<'_, '_>,
+    batch: &[Query],
+) -> BatchOutcome {
+    executor.run_cached_coalesced_with_deadlines(cached, &FlightGroup::new(), batch, &[])
+}
+
 fn verify(results: &[spg_core::BatchResult], expected: &[Vec<(u32, u32)>], threads: usize) {
     assert_eq!(results.len(), expected.len());
     for (i, (got, exp)) in results.iter().zip(expected).enumerate() {
@@ -300,7 +307,7 @@ fn cache_bench(
     for _ in 0..repeats {
         cache.clear();
         let start = Instant::now();
-        let outcome = executor.run_cached_detailed(&cached, &batch);
+        let outcome = run_cached(&executor, &cached, &batch);
         cold_samples.push(start.elapsed().as_nanos() as u64);
         verify(&outcome.results, &expected, 1);
         cold_hit_rate = outcome.stats.cache_hit_rate().unwrap_or(0.0);
@@ -311,7 +318,7 @@ fn cache_bench(
     let mut warm_hit_rate = 0.0;
     for _ in 0..repeats {
         let start = Instant::now();
-        let outcome = executor.run_cached_detailed(&cached, &batch);
+        let outcome = run_cached(&executor, &cached, &batch);
         warm_samples.push(start.elapsed().as_nanos() as u64);
         verify(&outcome.results, &expected, 1);
         warm_hit_rate = outcome.stats.cache_hit_rate().unwrap_or(0.0);
@@ -442,14 +449,13 @@ fn phase1_bench(
     }
 }
 
-/// One (lane width × frontier policy) configuration of the shared engine.
+/// One lane-width configuration of the shared engine.
 struct LaneWidthRow {
     lanes: usize,
-    policy: &'static str,
     batch_ns: u64,
     phase1_ns: u64,
-    /// Phase-1 speedup of this configuration over the 64-lane hysteresis
-    /// row of the same batch (the widening payoff the PR-10 gate tracks).
+    /// Phase-1 speedup of this width over the 64-lane row of the same
+    /// batch (the widening payoff the PR-10 gate tracks).
     phase1_speedup_vs_64: f64,
     batch_speedup_vs_per_query: f64,
     cohorts: usize,
@@ -466,10 +472,8 @@ struct LaneWidthBench {
     rows: Vec<LaneWidthRow>,
 }
 
-/// Lane-width ladder: the same batch through 64-, 128- and 256-lane cohort
-/// capacities, each under α/β hysteresis and under the legacy fixed switch
-/// (`Fixed { denominator: 2 }` — bit-compatible with the pre-hysteresis
-/// engine). Single worker so the ladder isolates traversal width from
+/// Lane-width ladder: the same batch through 64- and 256-lane cohort
+/// capacities. Single worker so the ladder isolates traversal width from
 /// parallelism. Every configuration's answers are verified slot-for-slot
 /// against the per-query path before its timing counts.
 fn lane_width_bench(
@@ -493,45 +497,23 @@ fn lane_width_bench(
         .map(|slot| slot.expect("suite queries are valid").edges().to_vec())
         .collect();
 
-    let configs: [(LaneWidth, &'static str, FrontierPolicy); 6] = [
-        (LaneWidth::W64, "hysteresis", FrontierPolicy::default()),
-        (
-            LaneWidth::W64,
-            "fixed",
-            FrontierPolicy::Fixed { denominator: 2 },
-        ),
-        (LaneWidth::W128, "hysteresis", FrontierPolicy::default()),
-        (
-            LaneWidth::W128,
-            "fixed",
-            FrontierPolicy::Fixed { denominator: 2 },
-        ),
-        (LaneWidth::W256, "hysteresis", FrontierPolicy::default()),
-        (
-            LaneWidth::W256,
-            "fixed",
-            FrontierPolicy::Fixed { denominator: 2 },
-        ),
-    ];
-    let executors: Vec<(LaneWidth, &'static str, BatchExecutor)> = configs
+    let executors: Vec<(LaneWidth, BatchExecutor)> = [LaneWidth::W64, LaneWidth::W256]
         .into_iter()
-        .map(|(width, policy_name, policy)| {
-            let executor = BatchExecutor::new(1)
-                .phase1_lanes(width)
-                .phase1_policy(policy);
+        .map(|width| {
+            let executor = BatchExecutor::new(1).phase1_lanes(width);
             // One untimed pass so every executor's workspace pool is warm
             // before sampling — the per-query baseline got the same
             // treatment from the `expected` capture run above.
             verify(&executor.run_detailed(eve, batch).results, &expected, 1);
-            (width, policy_name, executor)
+            (width, executor)
         })
         .collect();
 
     // Each variant is sampled back to back after an untimed warm pass —
     // the steady state a serving executor actually runs in (a rotation
-    // that streams six other variants' graph-sized arrays between every
-    // sample would tax the wider blocks, whose per-vertex arrays are up
-    // to 4× larger, for eviction the rotation itself caused). To keep
+    // that streams the other variant's graph-sized arrays between every
+    // sample would tax the wider block, whose per-vertex arrays are 4×
+    // larger, for eviction the rotation itself caused). To keep
     // slow host drift (thermal/turbo state, noisy neighbours) from
     // biasing whichever variant sampled last, the sample budget is split
     // into two time-separated rounds over the whole variant list and the
@@ -559,7 +541,7 @@ fn lane_width_bench(
             pq_phase1.push(slot_distance_ns(&outcome.results));
             verify(&outcome.results, &expected, 1);
         }
-        for (i, (_, _, executor)) in executors.iter().enumerate() {
+        for (i, (_, executor)) in executors.iter().enumerate() {
             let _ = executor.run_detailed(eve, batch);
             for _ in 0..take {
                 let start = Instant::now();
@@ -578,12 +560,11 @@ fn lane_width_bench(
     let per_query_phase1_ns = min_ns(&pq_phase1);
 
     let mut rows: Vec<LaneWidthRow> = Vec::with_capacity(executors.len());
-    for (i, (width, policy_name, _)) in executors.iter().enumerate() {
+    for (i, (width, _)) in executors.iter().enumerate() {
         let batch_ns = min_ns(&batch_samples[i]);
         let phase1_ns = min_ns(&phase1_samples[i]);
         rows.push(LaneWidthRow {
             lanes: width.lanes(),
-            policy: policy_name,
             batch_ns,
             phase1_ns,
             phase1_speedup_vs_64: 1.0, // filled below from the baseline row
@@ -593,7 +574,7 @@ fn lane_width_bench(
             bottom_up_scans: last_stats[i].traversal.bottom_up_edge_scans,
         });
     }
-    let baseline = rows[0].phase1_ns; // 64-lane hysteresis
+    let baseline = rows[0].phase1_ns; // 64 lanes
     for row in &mut rows {
         row.phase1_speedup_vs_64 = baseline as f64 / row.phase1_ns.max(1) as f64;
     }
@@ -648,7 +629,12 @@ fn dynamic_bench(g: &DiGraph, smoke: bool) -> DynamicBench {
     // Warm the update-path cache: round zero starts from steady serving
     // state. (The rebuild path cannot be warmed — every round's fresh
     // version stamp makes prior entries unreachable, which is the point.)
-    let warm = executor.run_cached(&CachedEve::with_defaults(&vg, &update_cache), &batch);
+    let warm = run_cached(
+        &executor,
+        &CachedEve::with_defaults(&vg, &update_cache),
+        &batch,
+    )
+    .results;
     // Toggle an edge from inside a cached answer, so the delta genuinely
     // intersects a resident entry's scope each round — the purge is
     // exercised, and its survivor rate is a real measurement rather than a
@@ -677,14 +663,22 @@ fn dynamic_bench(g: &DiGraph, smoke: bool) -> DynamicBench {
         let entries_before = update_cache.stats().entries;
         let start = Instant::now();
         let upd = apply_delta_scoped(&mut vg, &update_cache, &deltas).expect("valid delta");
-        let update_results =
-            executor.run_cached(&CachedEve::with_defaults(&vg, &update_cache), &batch);
+        let update_results = run_cached(
+            &executor,
+            &CachedEve::with_defaults(&vg, &update_cache),
+            &batch,
+        )
+        .results;
         update_ns.push(start.elapsed().as_nanos() as u64);
 
         let start = Instant::now();
         let rebuilt = VersionedGraph::new(DiGraph::from_edges(n, model.iter().copied()));
-        let rebuild_results =
-            executor.run_cached(&CachedEve::with_defaults(&rebuilt, &rebuild_cache), &batch);
+        let rebuild_results = run_cached(
+            &executor,
+            &CachedEve::with_defaults(&rebuilt, &rebuild_cache),
+            &batch,
+        )
+        .results;
         rebuild_ns.push(start.elapsed().as_nanos() as u64);
 
         for (i, (u, r)) in update_results.iter().zip(&rebuild_results).enumerate() {
@@ -1036,7 +1030,7 @@ fn render_json(results: &[SuiteResult]) -> String {
             for (m, row) in l.rows.iter().enumerate() {
                 out.push_str(&format!(
                     concat!(
-                        "            {{\"lanes\": {}, \"policy\": \"{}\", ",
+                        "            {{\"lanes\": {}, ",
                         "\"batch_ns\": {}, \"phase1_ns\": {}, ",
                         "\"phase1_speedup_vs_64_lanes\": {:.2}, ",
                         "\"batch_speedup_vs_per_query\": {:.2}, ",
@@ -1044,7 +1038,6 @@ fn render_json(results: &[SuiteResult]) -> String {
                         "\"bottom_up_edge_scans\": {}}}{}\n",
                     ),
                     row.lanes,
-                    row.policy,
                     row.batch_ns,
                     row.phase1_ns,
                     row.phase1_speedup_vs_64,
@@ -1187,11 +1180,10 @@ fn main() {
         for l in &r.lane_width {
             for row in &l.rows {
                 eprintln!(
-                    "{}: lane_width[{}] {} lanes / {} -> batch {} ns, phase1 {} ns ({:.2}x vs 64-lane hysteresis, {:.2}x batch vs per-query), {} cohorts, {} lanes filled for {} distinct pairs",
+                    "{}: lane_width[{}] {} lanes -> batch {} ns, phase1 {} ns ({:.2}x vs 64 lanes, {:.2}x batch vs per-query), {} cohorts, {} lanes filled for {} distinct pairs",
                     r.name,
                     l.batch,
                     row.lanes,
-                    row.policy,
                     row.batch_ns,
                     row.phase1_ns,
                     row.phase1_speedup_vs_64,

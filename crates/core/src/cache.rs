@@ -699,7 +699,7 @@ pub enum CacheOutcome {
 /// their own copy against one shared cache.
 ///
 /// ```
-/// use spg_core::{BatchExecutor, CachedEve, Query, SpgCache};
+/// use spg_core::{BatchExecutor, CachedEve, FlightGroup, Query, SpgCache};
 /// use spg_core::paper_example::{figure1_graph, names};
 /// use spg_graph::VersionedGraph;
 ///
@@ -708,9 +708,11 @@ pub enum CacheOutcome {
 /// let cached = CachedEve::with_defaults(&vg, &cache);
 /// let queries: Vec<Query> = (2..=8).map(|k| Query::new(names::S, names::T, k)).collect();
 ///
-/// let cold = BatchExecutor::new(2).run_cached(&cached, &queries);
-/// let warm = BatchExecutor::new(2).run_cached(&cached, &queries);
-/// for (c, w) in cold.iter().zip(&warm) {
+/// let executor = BatchExecutor::new(2);
+/// let flights = FlightGroup::new();
+/// let cold = executor.run_cached_coalesced_with_deadlines(&cached, &flights, &queries, &[]);
+/// let warm = executor.run_cached_coalesced_with_deadlines(&cached, &flights, &queries, &[]);
+/// for (c, w) in cold.results.iter().zip(&warm.results) {
 ///     assert_eq!(c.as_ref().unwrap().edges(), w.as_ref().unwrap().edges());
 /// }
 /// assert!(cache.stats().hits >= queries.len() as u64);
@@ -823,18 +825,6 @@ impl<'g, 'c> CachedEve<'g, 'c> {
         let spg = self.eve.query_budgeted(ws, clamped, budget)?;
         self.cache.insert(self.version, clamped, &spg);
         Ok((spg, CacheOutcome::Miss))
-    }
-
-    /// Answers a whole batch sequentially through the cache on one reused
-    /// workspace — the cached counterpart of [`Eve::query_batch`]. Slots are
-    /// bit-identical to the uncached entry points; see
-    /// [`crate::BatchExecutor::run_cached`] for the parallel version.
-    pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<SimplePathGraph, QueryError>> {
-        let mut ws = QueryWorkspace::new();
-        queries
-            .iter()
-            .map(|&q| self.query_with(&mut ws, q))
-            .collect()
     }
 }
 
@@ -1021,6 +1011,8 @@ mod tests {
 
     #[test]
     fn query_batch_matches_uncached_batch() {
+        use crate::{BatchExecutor, FlightGroup};
+
         let vg = VersionedGraph::new(paper_example::figure1_graph());
         let cache = SpgCache::new(1 << 20);
         let cached = CachedEve::with_defaults(&vg, &cache);
@@ -1034,16 +1026,22 @@ mod tests {
             q(A, B, 3),
             q(S, T, 7),
         ];
-        let got = cached.query_batch(&batch);
-        let expected = eve.query_batch(&batch);
-        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+        let executor = BatchExecutor::new(1);
+        let got =
+            executor.run_cached_coalesced_with_deadlines(&cached, &FlightGroup::new(), &batch, &[]);
+        let expected = executor.run(&eve, &batch);
+        for (i, (g, e)) in got.results.iter().zip(&expected).enumerate() {
             match (g, e) {
                 (Ok(a), Ok(b)) => assert_eq!(a.edges(), b.edges(), "slot {i}"),
                 (Err(a), Err(b)) => assert_eq!(a, b, "slot {i}"),
                 other => panic!("slot {i}: Ok/Err mismatch {other:?}"),
             }
         }
-        assert_eq!(cache.stats().hits, 2, "the two repeated slots hit");
+        assert_eq!(
+            got.stats.cache_coalesced, 2,
+            "the two repeated slots fan in"
+        );
+        assert_eq!(cache.stats().insertions, 3, "one publish per distinct key");
     }
 
     #[test]

@@ -45,15 +45,14 @@
 //!
 //! Invalid queries and queries that end up alone in their cohort skip the
 //! shared machinery entirely: the plan emits them as [`Unit::Single`] and
-//! the executors answer them on the classic per-query
+//! the executor answers them on the classic per-query
 //! [`Eve::query_with`](crate::Eve::query_with) path.
 
 use std::time::Instant;
 
 use spg_graph::hash::FxHashMap;
 use spg_graph::{
-    DiGraph, Direction, FrontierMode, FrontierPolicy, LaneBlock, Lanes128, Lanes256, Lanes64,
-    MsBfsEngine, MsBfsLane, QueryBudget,
+    DiGraph, Direction, LaneBlock, Lanes256, Lanes64, MsBfsEngine, MsBfsLane, QueryBudget,
 };
 
 use crate::eve::Eve;
@@ -64,15 +63,13 @@ use crate::workspace::QueryWorkspace;
 /// Maximum lanes (distinct endpoint pairs) a single cohort may hold —
 /// the lane-block width of the MS-BFS engine that runs it. Executors pick
 /// the width via [`crate::BatchExecutor::phase1_lanes`]; the planner packs
-/// up to this many pairs per cohort and `run_cohort` dispatches each cohort
-/// to the narrowest engine that fits it, so a 40-pair cohort planned under
+/// up to this many pairs per cohort and `run_cohort` runs each cohort on
+/// the 64-lane engine whenever it fits, so a 40-pair cohort planned under
 /// [`LaneWidth::W256`] still runs on the cheap single-word engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LaneWidth {
     /// One `u64` word per vertex: up to 64 pairs per cohort.
     W64,
-    /// Two words: up to 128 pairs per cohort.
-    W128,
     /// Four words: up to 256 pairs per cohort (the default).
     #[default]
     W256,
@@ -83,7 +80,6 @@ impl LaneWidth {
     pub fn lanes(self) -> usize {
         match self {
             LaneWidth::W64 => Lanes64::LANES,
-            LaneWidth::W128 => Lanes128::LANES,
             LaneWidth::W256 => Lanes256::LANES,
         }
     }
@@ -234,6 +230,14 @@ impl CohortPlan {
         plan
     }
 
+    /// The plan with sharing off: every query of a `len`-query batch is its
+    /// own [`Unit::Single`], in slot order.
+    pub fn singles(len: usize) -> CohortPlan {
+        CohortPlan {
+            units: (0..len).map(Unit::Single).collect(),
+        }
+    }
+
     /// Seals the open cohort: empty ones vanish, singletons fall back to the
     /// per-query path (sharing a traversal with itself buys nothing), and a
     /// cohort the cost model rejects ([`sharing_pays`]) dissolves into
@@ -294,8 +298,8 @@ fn sharing_pays(cohort: &Cohort) -> bool {
 /// Executes one cohort on a worker's private workspace: one bidirectional
 /// MS-BFS traversal (forward from the distinct sources, backward from the
 /// distinct targets, avoid vertices per lane), then phases 1b–3 per member
-/// on the lane's materialised distances. The cohort is dispatched to the
-/// narrowest workspace engine whose lane-block width fits its lane count.
+/// on the lane's materialised distances. Cohorts of up to 64 lanes run on
+/// the workspace's 64-lane engine, wider ones on its 256-lane engine.
 /// Results are handed to `publish` in member order; `stats` accumulates the
 /// shared-Phase-1 counters and the usual per-slot bookkeeping.
 /// `deadlines` is indexed by batch slot (may be empty: no deadlines). The
@@ -305,13 +309,10 @@ fn sharing_pays(cohort: &Cohort) -> bool {
 /// abandoned traversal fails all members with
 /// [`QueryError::DeadlineExceeded`]. Phases 1b–3 then run under each
 /// member's own deadline.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cohort(
     eve: &Eve<'_>,
     ws: &mut QueryWorkspace,
     cohort: &Cohort,
-    mode: FrontierMode,
-    policy: FrontierPolicy,
     deadlines: &[Option<Instant>],
     stats: &mut ThreadBatchStats,
     publish: impl FnMut(usize, BatchResult),
@@ -320,45 +321,11 @@ pub(crate) fn run_cohort(
     // while the rest of the workspace runs phases 1b–3 mutably.
     if cohort.lanes.len() <= Lanes64::LANES {
         let mut engine = std::mem::take(&mut ws.msbfs64);
-        run_cohort_on(
-            eve,
-            ws,
-            &mut engine,
-            cohort,
-            mode,
-            policy,
-            deadlines,
-            stats,
-            publish,
-        );
+        run_cohort_on(eve, ws, &mut engine, cohort, deadlines, stats, publish);
         ws.msbfs64 = engine;
-    } else if cohort.lanes.len() <= Lanes128::LANES {
-        let mut engine = std::mem::take(&mut ws.msbfs128);
-        run_cohort_on(
-            eve,
-            ws,
-            &mut engine,
-            cohort,
-            mode,
-            policy,
-            deadlines,
-            stats,
-            publish,
-        );
-        ws.msbfs128 = engine;
     } else {
         let mut engine = std::mem::take(&mut ws.msbfs256);
-        run_cohort_on(
-            eve,
-            ws,
-            &mut engine,
-            cohort,
-            mode,
-            policy,
-            deadlines,
-            stats,
-            publish,
-        );
+        run_cohort_on(eve, ws, &mut engine, cohort, deadlines, stats, publish);
         ws.msbfs256 = engine;
     }
 }
@@ -366,14 +333,11 @@ pub(crate) fn run_cohort(
 /// [`run_cohort`] monomorphised over one lane-block width. Only the
 /// traversal and the thin per-member distance loader are generic; phases
 /// 1b–3 behind [`Eve::query_shared`] are compiled once.
-#[allow(clippy::too_many_arguments)]
 fn run_cohort_on<B: LaneBlock>(
     eve: &Eve<'_>,
     ws: &mut QueryWorkspace,
     engine: &mut MsBfsEngine<B>,
     cohort: &Cohort,
-    mode: FrontierMode,
-    policy: FrontierPolicy,
     deadlines: &[Option<Instant>],
     stats: &mut ThreadBatchStats,
     mut publish: impl FnMut(usize, BatchResult),
@@ -395,8 +359,6 @@ fn run_cohort_on<B: LaneBlock>(
         None => QueryBudget::unlimited(),
     };
 
-    engine.set_mode(mode);
-    engine.set_policy(policy);
     let start = Instant::now(); // spg-analyze: allow(hot-loop) — phase-boundary timer (cohort MS-BFS entry)
     let traversal = engine.run_budgeted(eve.graph(), &cohort.lanes, &engine_budget);
     stats.phase1.traversal_time += start.elapsed();
@@ -467,7 +429,6 @@ mod tests {
     #[test]
     fn lane_width_capacities() {
         assert_eq!(LaneWidth::W64.lanes(), 64);
-        assert_eq!(LaneWidth::W128.lanes(), 128);
         assert_eq!(LaneWidth::W256.lanes(), 256);
         assert_eq!(LaneWidth::default(), LaneWidth::W256);
     }

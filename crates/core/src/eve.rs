@@ -103,7 +103,7 @@ enum DistInput<'a> {
     /// (built by [`Eve::query_shared`]) pushes the lane's forward + backward
     /// distances into the freshly `begin_load`ed [`FlatDistances`]; holding
     /// the engine behind `dyn Fn` keeps the whole pipeline monomorphic in
-    /// the engine's lane-block width, so three widths don't triple the
+    /// the engine's lane-block width, so two widths don't double the
     /// compiled pipeline.
     Shared {
         load: &'a dyn Fn(&mut FlatDistances),
@@ -238,51 +238,6 @@ impl<'g> Eve<'g> {
         budget: &QueryBudget,
     ) -> Result<SimplePathGraph, QueryError> {
         self.run_flat_pipeline(ws, query, DistInput::Reuse, budget)
-    }
-
-    /// Answers a whole batch sequentially on one internally reused
-    /// [`QueryWorkspace`], returning one result slot per query in input
-    /// order. Errors are per-slot: an invalid query never affects its
-    /// neighbours. Like [`crate::BatchExecutor::run`] (the multi-threaded
-    /// counterpart, bit-identical at any thread count), the batch is grouped
-    /// into cohorts of queries whose Phase-1 distance work is shared through
-    /// one MS-BFS pass per direction; singleton and invalid queries fall
-    /// back to the per-query path.
-    pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<SimplePathGraph, QueryError>> {
-        let mut ws = QueryWorkspace::new();
-        // One worker: uncapped cohorts, maximum traversal dedup.
-        let plan = crate::cohort::CohortPlan::build(
-            self.graph,
-            queries,
-            1,
-            crate::cohort::LaneWidth::default(),
-        );
-        let mut results: Vec<Option<Result<SimplePathGraph, QueryError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut stats = crate::executor::ThreadBatchStats::default();
-        for unit in &plan.units {
-            match unit {
-                crate::cohort::Unit::Single(i) => {
-                    results[*i] = Some(self.query_with(&mut ws, queries[*i]));
-                }
-                crate::cohort::Unit::Cohort(cohort) => {
-                    crate::cohort::run_cohort(
-                        self,
-                        &mut ws,
-                        cohort,
-                        spg_graph::FrontierMode::default(),
-                        spg_graph::FrontierPolicy::default(),
-                        &[],
-                        &mut stats,
-                        |index, result| results[index] = Some(result),
-                    );
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("the cohort plan covers every query index exactly once")) // spg-analyze: allow(no-panic) — the cohort planner is exhaustive over query indices
-            .collect()
     }
 
     /// Answers a query, additionally returning the upper-bound graph

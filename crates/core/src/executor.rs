@@ -8,25 +8,25 @@
 //!
 //! * each worker owns a **private** [`QueryWorkspace`], so the hot path stays
 //!   allocation-free after warm-up exactly as in the sequential case;
-//! * work is pulled through one **atomic chunked cursor** — a worker claims
-//!   `chunk` consecutive query indices per `fetch_add`, which keeps cursor
-//!   traffic negligible while still load-balancing skewed batches;
+//! * the batch is first planned into **scheduling units**. By default
+//!   these are **cohorts** ([`crate::cohort`]): up to [`LaneWidth::lanes`]
+//!   (256 by default) distinct `(s, t)` endpoint pairs whose Phase-1
+//!   distances are computed by one bit-parallel MS-BFS traversal per
+//!   direction instead of one BFS pair per query, with per-query
+//!   **single** units for singletons, invalid queries and cohorts the cost
+//!   model dissolves ([`BatchExecutor::shared_phase1`]`(false)` plans every
+//!   query as a single; [`BatchExecutor::phase1_lanes`] narrows the
+//!   packing);
+//! * work is pulled through one **atomic cursor** — a worker claims one
+//!   whole unit per `fetch_add`, which keeps cursor traffic negligible next
+//!   to a unit's cost while still load-balancing skewed batches;
 //! * every result is written into its query's **pre-sized slot**
 //!   (`OnceLock` per index), so the output order is the input order and the
 //!   answers are bit-identical to sequential [`Eve::query_with`] runs — the
 //!   workspace-reuse property (answers never depend on what a workspace ran
 //!   before; see `tests/workspace_reuse.rs`) is what makes per-thread
-//!   workspaces safe;
-//! * by default the batch is first planned into **cohorts**
-//!   ([`crate::cohort`]): up to [`LaneWidth::lanes`] (256 by default)
-//!   distinct `(s, t)` endpoint pairs whose Phase-1 distances are computed
-//!   by one bit-parallel MS-BFS traversal per direction instead of one BFS
-//!   pair per query, with per-query fallback for singletons, invalid
-//!   queries and cohorts the cost model dissolves
-//!   ([`BatchExecutor::shared_phase1`] restores the per-query path
-//!   wholesale; [`BatchExecutor::phase1_lanes`] narrows the packing).
-//!   Workers then claim whole units (cohorts or singles) through the
-//!   cursor.
+//!   workspaces safe. A single-worker executor drains inline on the
+//!   calling thread.
 //!
 //! ### Error aggregation and fault-isolation policy
 //!
@@ -44,8 +44,9 @@
 //!   workspace is discarded for a fresh one, and every other slot of the
 //!   batch is answered normally. [`BatchStats::panics_isolated`] counts
 //!   the contained panics.
-//! * **Per-slot deadlines** — the `*_with_deadlines` entry points take one
-//!   optional [`Instant`] per slot and run each query under a cooperative
+//! * **Per-slot deadlines** —
+//!   [`BatchExecutor::run_cached_coalesced_with_deadlines`] takes one
+//!   optional [`Instant`] per slot and runs each query under a cooperative
 //!   [`QueryBudget`]; an expired slot reports
 //!   [`QueryError::DeadlineExceeded`] without disturbing its neighbours.
 //!   Cohorts run their shared traversal under the *latest* member deadline
@@ -57,7 +58,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use spg_graph::{FrontierMode, FrontierPolicy, QueryBudget, SearchSpaceStats};
+use spg_graph::{QueryBudget, SearchSpaceStats};
 
 use crate::cache::{CacheOutcome, CachedEve};
 use crate::cohort::{run_cohort, CohortPlan, LaneWidth, Unit};
@@ -81,11 +82,6 @@ fn budget_for(deadline: Option<Instant>) -> QueryBudget {
 fn slot_deadline(deadlines: &[Option<Instant>], index: usize) -> Option<Instant> {
     deadlines.get(index).copied().flatten()
 }
-
-/// Per-query callback of the chunked-cursor drain: answer the query at
-/// batch index `usize` on the worker's private workspace.
-type RunOne<'a> =
-    &'a (dyn Fn(&mut QueryWorkspace, usize, Query, &mut ThreadBatchStats) -> BatchResult + Sync);
 
 /// Per-query outcome of a batch: the answer, or why the query was rejected.
 pub type BatchResult = Result<SimplePathGraph, QueryError>;
@@ -111,18 +107,14 @@ const _: () = {
 /// let eve = Eve::with_defaults(&g);
 /// let queries: Vec<Query> = (2..=8).map(|k| Query::new(names::S, names::T, k)).collect();
 /// let parallel = BatchExecutor::new(4).run(&eve, &queries);
-/// let sequential = eve.query_batch(&queries);
-/// for (p, s) in parallel.iter().zip(&sequential) {
-///     assert_eq!(p.as_ref().unwrap().edges(), s.as_ref().unwrap().edges());
+/// for (p, &q) in parallel.iter().zip(&queries) {
+///     assert_eq!(p.as_ref().unwrap().edges(), eve.query(q).unwrap().edges());
 /// }
 /// ```
 #[derive(Debug)]
 pub struct BatchExecutor {
     threads: usize,
-    chunk_size: usize,
     shared_phase1: bool,
-    phase1_mode: FrontierMode,
-    phase1_policy: FrontierPolicy,
     phase1_lanes: LaneWidth,
     pool: WorkspacePool,
 }
@@ -133,10 +125,7 @@ impl Clone for BatchExecutor {
     fn clone(&self) -> Self {
         BatchExecutor {
             threads: self.threads,
-            chunk_size: self.chunk_size,
             shared_phase1: self.shared_phase1,
-            phase1_mode: self.phase1_mode,
-            phase1_policy: self.phase1_policy,
             phase1_lanes: self.phase1_lanes,
             pool: WorkspacePool::default(),
         }
@@ -186,14 +175,12 @@ impl std::fmt::Debug for WorkspacePool {
 impl BatchExecutor {
     /// Creates an executor with an explicit worker count (clamped to ≥ 1).
     /// Cohort-shared Phase 1 is on by default; see
-    /// [`BatchExecutor::shared_phase1`].
+    /// [`BatchExecutor::shared_phase1`]. `BatchExecutor::new(1)` runs every
+    /// batch inline on the calling thread.
     pub fn new(threads: usize) -> Self {
         BatchExecutor {
             threads: threads.max(1),
-            chunk_size: 0,
             shared_phase1: true,
-            phase1_mode: FrontierMode::default(),
-            phase1_policy: FrontierPolicy::default(),
             phase1_lanes: LaneWidth::default(),
             pool: WorkspacePool::default(),
         }
@@ -208,47 +195,21 @@ impl BatchExecutor {
         BatchExecutor::new(threads)
     }
 
-    /// Overrides the cursor chunk size (0 restores the automatic choice).
-    /// Only the per-query path uses it; the cohort-shared path claims whole
-    /// units (cohorts or fallback singles) one at a time.
-    pub fn chunk_size(mut self, chunk: usize) -> Self {
-        self.chunk_size = chunk;
-        self
-    }
-
     /// Enables or disables the cohort-shared MS-BFS Phase 1 (default:
-    /// enabled). When disabled, [`BatchExecutor::run`] answers every query
-    /// on the classic per-query path — the baseline the `batch_phase1`
-    /// benchmark and `phase1_sharing` perf snapshots compare against. The
-    /// result slots are bit-identical either way.
+    /// enabled). When disabled, every query is planned as its own single
+    /// unit and answered on the classic per-query path — the baseline the
+    /// `phase1_sharing` perf snapshots compare against. The result slots
+    /// are bit-identical either way.
     pub fn shared_phase1(mut self, enabled: bool) -> Self {
         self.shared_phase1 = enabled;
         self
     }
 
-    /// Overrides the per-level expansion policy of the shared Phase-1
-    /// traversal (default: [`FrontierMode::DirectionOptimizing`]). Answers
-    /// do not depend on the mode, only the work profile does.
-    pub fn phase1_mode(mut self, mode: FrontierMode) -> Self {
-        self.phase1_mode = mode;
-        self
-    }
-
-    /// Overrides the direction-switch policy used when
-    /// [`FrontierMode::DirectionOptimizing`] is active (default: α/β
-    /// hysteresis, [`FrontierPolicy::default`]). [`FrontierPolicy::Fixed`]
-    /// restores the pre-hysteresis fixed threshold for A/B comparisons and
-    /// differential tests; answers do not depend on the policy.
-    pub fn phase1_policy(mut self, policy: FrontierPolicy) -> Self {
-        self.phase1_policy = policy;
-        self
-    }
-
     /// Overrides the cohort lane capacity — how many distinct `(s, t)`
     /// pairs one shared Phase-1 traversal may carry (default:
-    /// [`LaneWidth::W256`]). Each cohort still runs on the narrowest
-    /// MS-BFS engine that fits it, so narrower plans only change the
-    /// packing, and answers never depend on the width.
+    /// [`LaneWidth::W256`]). A cohort that fits 64 lanes runs on the
+    /// 64-lane engine at either width, so the width only changes how wider
+    /// cohorts are packed, and answers never depend on it.
     pub fn phase1_lanes(mut self, width: LaneWidth) -> Self {
         self.phase1_lanes = width;
         self
@@ -257,18 +218,6 @@ impl BatchExecutor {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Queries claimed per cursor `fetch_add`: the explicit override, or
-    /// roughly eight chunks per worker — small enough to balance batches
-    /// whose expensive queries cluster, large enough that cursor contention
-    /// stays invisible next to a query's cost.
-    fn effective_chunk(&self, len: usize) -> usize {
-        if self.chunk_size > 0 {
-            self.chunk_size
-        } else {
-            (len / (self.threads * 8)).clamp(1, 64)
-        }
     }
 
     /// Answers `queries` against `eve`'s graph, returning one slot per query
@@ -285,62 +234,46 @@ impl BatchExecutor {
     /// each worker retained, and — on the default cohort-shared path — the
     /// shared-Phase-1 counters ([`BatchStats::phase1`]).
     pub fn run_detailed(&self, eve: &Eve<'_>, queries: &[Query]) -> BatchOutcome {
-        self.run_detailed_with_deadlines(eve, queries, &[])
+        self.run_planned(eve, queries, &[])
     }
 
-    /// [`BatchExecutor::run_detailed`] with one optional wall-clock deadline
-    /// per slot (`deadlines` may be shorter than `queries`; missing entries
-    /// mean unbounded). A slot whose deadline expires mid-flight reports
-    /// [`QueryError::DeadlineExceeded`] deterministically in its own slot —
-    /// neighbours, workers and the reused workspaces are unaffected.
-    pub fn run_detailed_with_deadlines(
+    /// The batch driver behind every entry point: plan the batch into units
+    /// (cohorts and per-query singles, or all singles with sharing off),
+    /// then let workers claim units through the atomic cursor. Each worker
+    /// runs a claimed cohort's two MS-BFS passes on its private workspace
+    /// and answers the members from the shared distances; single units go
+    /// through [`Eve::query_budgeted`] unchanged. `deadlines` is indexed by
+    /// slot (may be shorter than `queries`; missing entries mean unbounded).
+    fn run_planned(
         &self,
         eve: &Eve<'_>,
         queries: &[Query],
         deadlines: &[Option<Instant>],
     ) -> BatchOutcome {
-        if self.shared_phase1 {
-            self.run_shared(eve, queries, deadlines)
+        let plan = if self.shared_phase1 {
+            CohortPlan::build(eve.graph(), queries, self.threads, self.phase1_lanes)
         } else {
-            self.run_with(queries, &|ws, index, query, _stats| {
-                eve.query_budgeted(ws, query, &budget_for(slot_deadline(deadlines, index)))
-            })
-        }
-    }
-
-    /// Cohort-shared batch driver: plan the batch into units (cohorts and
-    /// per-query fallbacks), then let workers claim units through the atomic
-    /// cursor. Each worker runs a claimed cohort's two MS-BFS passes on its
-    /// private workspace and answers the members from the shared distances;
-    /// fallback units go through [`Eve::query_with`] unchanged.
-    fn run_shared(
-        &self,
-        eve: &Eve<'_>,
-        queries: &[Query],
-        deadlines: &[Option<Instant>],
-    ) -> BatchOutcome {
-        let plan = CohortPlan::build(eve.graph(), queries, self.threads, self.phase1_lanes);
+            CohortPlan::singles(queries.len())
+        };
         let workers = self.threads.min(plan.units.len()).max(1);
         let slots: Vec<OnceLock<BatchResult>> =
             (0..queries.len()).map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
-        let mode = self.phase1_mode;
-        let policy = self.phase1_policy;
 
         let mut per_thread: Vec<ThreadBatchStats> = Vec::with_capacity(workers);
         if workers == 1 {
-            per_thread.push(drain_shared(
-                eve, queries, &plan, mode, policy, deadlines, &cursor, &slots, &self.pool,
+            // Sequential fast path: same drain loop, no spawn cost. This is
+            // also what makes `BatchExecutor::new(1)` a faithful baseline in
+            // the thread-scaling benchmarks.
+            per_thread.push(drain(
+                eve, queries, &plan, deadlines, &cursor, &slots, &self.pool,
             ));
         } else {
             thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(|| {
-                            drain_shared(
-                                eve, queries, &plan, mode, policy, deadlines, &cursor, &slots,
-                                &self.pool,
-                            )
+                            drain(eve, queries, &plan, deadlines, &cursor, &slots, &self.pool)
                         })
                     })
                     .collect();
@@ -359,8 +292,7 @@ impl BatchExecutor {
                     .expect("the cohort plan covers every query index exactly once")
             })
             .collect();
-        // Units are claimed whole, so the chunk notion degenerates to 1.
-        let stats = BatchStats::from_workers(workers, 1, per_thread);
+        let stats = BatchStats::from_workers(workers, per_thread);
         debug_assert_eq!(stats.answered + stats.errors, results.len());
         BatchOutcome {
             results,
@@ -370,63 +302,41 @@ impl BatchExecutor {
     }
 
     /// Answers `queries` through a shared [`crate::SpgCache`] with a
-    /// **two-phase drain**: first every slot is validated and probed against
-    /// the cache (hits skip all three pipeline phases and identical missed
-    /// keys are collapsed onto one in-flight computation — a batch of 64
-    /// identical cold queries computes **once**), then the distinct misses
-    /// are planned into cohorts and computed by one
-    /// [`BatchExecutor::run`]-style parallel run, so shared-endpoint misses
-    /// still get the bit-parallel shared Phase 1 before their answers are
-    /// published to the cache and fanned out to the collapsed duplicates.
-    /// Slots remain bit-identical to the uncached [`BatchExecutor::run`] at
-    /// any thread count — the differential harness in
-    /// `tests/cache_differential.rs` holds this as an invariant.
-    pub fn run_cached(&self, cached: &CachedEve<'_, '_>, queries: &[Query]) -> Vec<BatchResult> {
-        self.run_cached_detailed(cached, queries).results
-    }
-
-    /// [`BatchExecutor::run_cached`] plus execution statistics.
+    /// **three-phase drain**. First every slot is validated and probed
+    /// against the cache (hits skip all three pipeline phases) and each
+    /// missed key leads or joins a flight in `flights`, so identical missed
+    /// keys collapse onto one in-flight computation — a batch of 64
+    /// identical cold queries computes **once**. Then the distinct misses
+    /// are planned and computed by one [`BatchExecutor::run`]-style parallel
+    /// run, so shared-endpoint misses still get the bit-parallel shared
+    /// Phase 1 before their answers are published to the cache. Last, the
+    /// answers are fanned out to the collapsed duplicates. Slots remain
+    /// bit-identical to the uncached [`BatchExecutor::run`] at any thread
+    /// count — the differential harness in `tests/cache_differential.rs`
+    /// holds this as an invariant.
+    ///
+    /// A fresh [`FlightGroup::new`] collapses duplicates within this batch
+    /// only. Concurrent drains sharing one long-lived group (a serving
+    /// frontend's micro-batches) coalesce misses *across* batches: a key
+    /// already in flight in another drain is joined, not recomputed.
+    /// Deadlock-freedom: a drain completes every flight it leads during its
+    /// compute phase *before* waiting on any flight led elsewhere, so
+    /// cross-drain waits can never form a cycle.
+    ///
+    /// `deadlines` holds one optional wall-clock deadline per slot (it may
+    /// be shorter than `queries`, or empty; missing entries mean
+    /// unbounded). A slot past its deadline reports
+    /// [`QueryError::DeadlineExceeded`] without disturbing its neighbours;
+    /// a leader that fails mid-flight broadcasts its error to every joiner
+    /// instead of leaving them waiting ([`crate::FlightToken::fail`]), and
+    /// joiners of a budget-killed leader recompute under their *own*
+    /// deadline rather than inheriting the leader's failure.
+    ///
     /// [`BatchStats::cache_hits`] / [`BatchStats::cache_misses`] /
     /// [`BatchStats::cache_coalesced`] partition this run's valid slots;
     /// [`BatchStats::cache_evictions`] is the shared cache's eviction-counter
     /// delta across the run, which includes evictions triggered by
     /// concurrent users of the same cache, if any.
-    pub fn run_cached_detailed(
-        &self,
-        cached: &CachedEve<'_, '_>,
-        queries: &[Query],
-    ) -> BatchOutcome {
-        // A drain-local group: collapses duplicates within this batch. A
-        // serving frontend shares one long-lived group across drains instead
-        // (see `run_cached_coalesced`).
-        let flights = FlightGroup::new();
-        self.run_cached_coalesced(cached, &flights, queries)
-    }
-
-    /// [`BatchExecutor::run_cached_detailed`] against a caller-supplied
-    /// [`FlightGroup`], so concurrent drains sharing one group (a serving
-    /// frontend's micro-batches) coalesce misses *across* batches: a key
-    /// already in flight in another drain is joined, not recomputed.
-    ///
-    /// Deadlock-freedom: a drain completes every flight it leads during its
-    /// compute phase *before* waiting on any flight led elsewhere, so
-    /// cross-drain waits can never form a cycle.
-    pub fn run_cached_coalesced(
-        &self,
-        cached: &CachedEve<'_, '_>,
-        flights: &FlightGroup,
-        queries: &[Query],
-    ) -> BatchOutcome {
-        self.run_cached_coalesced_with_deadlines(cached, flights, queries, &[])
-    }
-
-    /// [`BatchExecutor::run_cached_coalesced`] with one optional wall-clock
-    /// deadline per slot. A slot past its deadline reports
-    /// [`QueryError::DeadlineExceeded`]; a leader that fails mid-flight
-    /// broadcasts its error to every joiner instead of leaving them waiting
-    /// ([`crate::FlightToken::fail`]), and joiners of a budget-killed leader
-    /// recompute under their *own* deadline rather than inheriting the
-    /// leader's failure.
     pub fn run_cached_coalesced_with_deadlines(
         &self,
         cached: &CachedEve<'_, '_>,
@@ -442,7 +352,6 @@ impl BatchExecutor {
                 results: queries.iter().map(|_| Err(err)).collect(),
                 stats: BatchStats {
                     threads: 1,
-                    chunk_size: 1,
                     errors: queries.len(),
                     ..BatchStats::default()
                 },
@@ -509,7 +418,6 @@ impl BatchExecutor {
         let mut stats = if missed.is_empty() {
             BatchStats {
                 threads: 1,
-                chunk_size: 1,
                 ..BatchStats::default()
             }
         } else if let Err(err) = failpoints::check(sites::FLIGHT_LEADER) {
@@ -523,7 +431,6 @@ impl BatchExecutor {
             }
             BatchStats {
                 threads: 1,
-                chunk_size: 1,
                 ..BatchStats::default()
             }
         } else {
@@ -532,17 +439,7 @@ impl BatchExecutor {
                 .iter()
                 .map(|&slot| slot_deadline(deadlines, slot))
                 .collect();
-            let inner = if self.shared_phase1 {
-                self.run_shared(&cached.eve(), &missed, &missed_deadlines)
-            } else {
-                self.run_with(&missed, &|ws, index, query, _stats| {
-                    cached.eve().query_budgeted(
-                        ws,
-                        query,
-                        &budget_for(slot_deadline(&missed_deadlines, index)),
-                    )
-                })
-            };
+            let inner = self.run_planned(&cached.eve(), &missed, &missed_deadlines);
             let mut stats = inner.stats;
             for ((&slot, token), result) in missed_slots.iter().zip(tokens).zip(inner.results) {
                 match result {
@@ -643,55 +540,6 @@ impl BatchExecutor {
             slot_sources,
         }
     }
-
-    /// Shared batch driver: spawn workers, drain the chunked cursor through
-    /// `run_one`, collect slots and fold per-worker stats. `run_one` answers
-    /// one query (given with its batch index, so callers can attach
-    /// per-slot budgets) on the worker's private workspace and may update
-    /// the worker's cache counters.
-    fn run_with(&self, queries: &[Query], run_one: RunOne<'_>) -> BatchOutcome {
-        let workers = self.threads.min(queries.len()).max(1);
-        let chunk = self.effective_chunk(queries.len());
-        let slots: Vec<OnceLock<BatchResult>> =
-            (0..queries.len()).map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
-
-        let mut per_thread: Vec<ThreadBatchStats> = Vec::with_capacity(workers);
-        if workers == 1 {
-            // Sequential fast path: same drain loop, no spawn cost. This is
-            // also what makes `BatchExecutor::new(1)` a faithful baseline in
-            // the thread-scaling benchmarks.
-            per_thread.push(drain(run_one, queries, &cursor, chunk, &slots, &self.pool));
-        } else {
-            thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| drain(run_one, queries, &cursor, chunk, &slots, &self.pool))
-                    })
-                    .collect();
-                for handle in handles {
-                    // spg-analyze: allow(no-panic) — a worker panic here is a bug; catch_unwind guards the slots
-                    per_thread.push(handle.join().expect("batch worker panicked"));
-                }
-            });
-        }
-
-        let results: Vec<BatchResult> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    // spg-analyze: allow(no-panic) — the chunked cursor is exhaustive over query indices
-                    .expect("the chunked cursor visits every query index exactly once")
-            })
-            .collect();
-        let stats = BatchStats::from_workers(workers, chunk, per_thread);
-        debug_assert_eq!(stats.answered + stats.errors, results.len());
-        BatchOutcome {
-            results,
-            stats,
-            slot_sources: Vec::new(),
-        }
-    }
 }
 
 impl Default for BatchExecutor {
@@ -701,21 +549,18 @@ impl Default for BatchExecutor {
     }
 }
 
-/// One worker's drain loop on the cohort-shared path: claim one unit at a
-/// time, run cohorts via [`run_cohort`] and fallback singles via
-/// [`Eve::query_budgeted`], publish every member into its pre-sized slot.
+/// One worker's drain loop: claim one unit at a time, run cohorts via
+/// [`run_cohort`] and singles via [`Eve::query_budgeted`], publish every
+/// member into its pre-sized slot.
 ///
 /// Every unit runs under [`catch_unwind`]: a panic (a defect or an injected
 /// failpoint) is contained to the unit — its unanswered slots get
 /// [`QueryError::ExecutionPanicked`], the possibly-corrupted workspace is
 /// replaced by a fresh one, and the worker moves on to the next unit.
-#[allow(clippy::too_many_arguments)]
-fn drain_shared(
+fn drain(
     eve: &Eve<'_>,
     queries: &[Query],
     plan: &CohortPlan,
-    mode: FrontierMode,
-    policy: FrontierPolicy,
     deadlines: &[Option<Instant>],
     cursor: &AtomicUsize,
     slots: &[OnceLock<BatchResult>],
@@ -728,7 +573,7 @@ fn drain_shared(
         if unit >= plan.units.len() {
             break;
         }
-        stats.chunks_claimed += 1;
+        stats.units_claimed += 1;
         match &plan.units[unit] {
             Unit::Single(index) => {
                 let budget = budget_for(slot_deadline(deadlines, *index));
@@ -758,8 +603,6 @@ fn drain_shared(
                         eve,
                         &mut ws,
                         cohort,
-                        mode,
-                        policy,
                         deadlines,
                         &mut stats,
                         |index, result| {
@@ -794,59 +637,6 @@ fn drain_shared(
     stats
 }
 
-/// One worker's drain loop: claim a chunk of query indices, answer each on
-/// the private workspace through `run_one`, publish into the pre-sized
-/// slots. A panicking query is contained to its own slot
-/// ([`QueryError::ExecutionPanicked`]); the workspace is discarded for a
-/// fresh one and the drain continues with the next query.
-fn drain(
-    run_one: RunOne<'_>,
-    queries: &[Query],
-    cursor: &AtomicUsize,
-    chunk: usize,
-    slots: &[OnceLock<BatchResult>],
-    pool: &WorkspacePool,
-) -> ThreadBatchStats {
-    let mut ws = pool.checkout();
-    let mut stats = ThreadBatchStats::default();
-    loop {
-        let start = cursor.fetch_add(chunk, Ordering::Relaxed); // spg-analyze: allow(hot-loop) — one claim per chunk, amortised over the chunk
-        if start >= queries.len() {
-            break;
-        }
-        stats.chunks_claimed += 1;
-        let end = (start + chunk).min(queries.len());
-        for (offset, (query, slot)) in queries[start..end]
-            .iter()
-            .zip(&slots[start..end])
-            .enumerate()
-        {
-            let index = start + offset;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_one(&mut ws, index, *query, &mut stats)
-            }))
-            .unwrap_or_else(|_| {
-                // The corrupted workspace is dropped, never pooled.
-                ws = QueryWorkspace::new();
-                stats.panics_isolated += 1;
-                Err(QueryError::ExecutionPanicked)
-            });
-            match &result {
-                Ok(spg) => {
-                    stats.answered += 1;
-                    stats.peak_memory.merge_max(&spg.stats().memory);
-                }
-                Err(_) => stats.errors += 1,
-            }
-            slot.set(result)
-                .expect("no other worker may claim this query index"); // spg-analyze: allow(no-panic) — slot claimed by this worker via the cursor
-        }
-    }
-    stats.workspace_retained_bytes = ws.retained_bytes();
-    pool.checkin(ws);
-    stats
-}
-
 /// Results plus statistics of one [`BatchExecutor::run_detailed`] call.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
@@ -862,9 +652,9 @@ pub struct BatchOutcome {
     pub slot_sources: Vec<Option<CacheOutcome>>,
 }
 
-/// Counters of the batch-shared MS-BFS Phase 1 (the cohort path of
-/// [`BatchExecutor`] and [`Eve::query_batch`]; all-zero when sharing is
-/// disabled or the batch degenerated to per-query fallbacks).
+/// Counters of the batch-shared MS-BFS Phase 1 (the cohort units of a
+/// [`BatchExecutor`] run; all-zero when sharing is disabled or the batch
+/// degenerated to per-query singles).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedPhase1Stats {
     /// Queries whose Phase-1 distances came from a cohort MS-BFS run
@@ -923,8 +713,9 @@ pub struct ThreadBatchStats {
     pub answered: usize,
     /// Queries this worker rejected ([`QueryError`] slots).
     pub errors: usize,
-    /// Cursor chunks this worker claimed.
-    pub chunks_claimed: usize,
+    /// Scheduling units (cohorts or single queries) this worker claimed
+    /// from the cursor.
+    pub units_claimed: usize,
     /// Cache lookups this worker answered from the shared
     /// [`crate::SpgCache`]. On the two-phase cached drain the probe phase
     /// runs on the calling thread, so hits are counted globally
@@ -951,17 +742,16 @@ pub struct ThreadBatchStats {
 /// Aggregated execution statistics of a batch run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Workers actually spawned (`min(threads, queries)`, at least 1).
+    /// Workers actually spawned (`min(threads, units)`, at least 1).
     pub threads: usize,
-    /// Queries claimed per cursor step.
-    pub chunk_size: usize,
     /// Successfully answered queries across all workers.
     pub answered: usize,
     /// Rejected queries across all workers (the error aggregation policy is
     /// per-slot: an invalid query never affects its neighbours).
     pub errors: usize,
     /// Queries served from the shared result cache across all workers
-    /// ([`BatchExecutor::run_cached`]; always 0 for uncached runs).
+    /// ([`BatchExecutor::run_cached_coalesced_with_deadlines`]; always 0
+    /// for uncached runs).
     pub cache_hits: usize,
     /// Queries computed and published to the shared result cache across all
     /// workers (always 0 for uncached runs).
@@ -993,10 +783,9 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    fn from_workers(threads: usize, chunk_size: usize, per_thread: Vec<ThreadBatchStats>) -> Self {
+    fn from_workers(threads: usize, per_thread: Vec<ThreadBatchStats>) -> Self {
         let mut stats = BatchStats {
             threads,
-            chunk_size,
             ..BatchStats::default()
         };
         for worker in &per_thread {
@@ -1034,7 +823,9 @@ impl BatchStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SpgCache;
     use crate::paper_example::{self, names::*};
+    use spg_graph::VersionedGraph;
 
     fn mixed_batch(n: u32) -> Vec<Query> {
         // Valid queries across hop constraints, plus the three invalid
@@ -1051,12 +842,26 @@ mod tests {
         batch
     }
 
+    /// Sequential reference: each query on a fresh workspace.
+    fn sequential(eve: &Eve<'_>, batch: &[Query]) -> Vec<BatchResult> {
+        batch.iter().map(|&q| eve.query(q)).collect()
+    }
+
+    /// A cached drain with a drain-local flight group and no deadlines.
+    fn run_cached(
+        executor: &BatchExecutor,
+        cached: &CachedEve<'_, '_>,
+        batch: &[Query],
+    ) -> BatchOutcome {
+        executor.run_cached_coalesced_with_deadlines(cached, &FlightGroup::new(), batch, &[])
+    }
+
     #[test]
     fn parallel_matches_sequential_at_every_thread_count() {
         let g = paper_example::figure1_graph();
         let eve = Eve::with_defaults(&g);
         let batch = mixed_batch(g.vertex_count() as u32);
-        let expected = eve.query_batch(&batch);
+        let expected = sequential(&eve, &batch);
         for threads in [1usize, 2, 3, 4, 8] {
             let got = BatchExecutor::new(threads).run(&eve, &batch);
             assert_eq!(got.len(), expected.len());
@@ -1091,12 +896,11 @@ mod tests {
         assert_eq!(stats.per_thread.len(), 4);
         let per_thread_total: usize = stats.per_thread.iter().map(|t| t.answered + t.errors).sum();
         assert_eq!(per_thread_total, batch.len());
-        // Shared mode claims whole units; at 4 workers the member cap
-        // splits the 16 valid queries across several cohorts so no single
-        // indivisible unit serializes the batch.
-        assert_eq!(stats.chunk_size, 1);
-        let chunks: usize = stats.per_thread.iter().map(|t| t.chunks_claimed).sum();
-        assert!(chunks >= 4, "at least the three singles plus one cohort");
+        // Workers claim whole units; at 4 workers the member cap splits the
+        // 16 valid queries across several cohorts so no single indivisible
+        // unit serializes the batch.
+        let units: usize = stats.per_thread.iter().map(|t| t.units_claimed).sum();
+        assert!(units >= 4, "at least the three singles plus one cohort");
         assert!(stats.phase1.cohorts >= 2, "member cap produced ≥ 2 cohorts");
         assert!(stats.phase1.phase1_shared <= 16);
         assert!(stats.phase1.distinct_endpoints <= stats.phase1.phase1_shared);
@@ -1108,8 +912,8 @@ mod tests {
         assert_eq!(solo.phase1.phase1_shared, 16);
         assert_eq!(solo.phase1.distinct_endpoints, 2, "(S,T) and (A,B)");
         assert_eq!(solo.phase1.dedup_ratio(), Some(8.0));
-        let solo_chunks: usize = solo.per_thread.iter().map(|t| t.chunks_claimed).sum();
-        assert_eq!(solo_chunks, 4, "one cohort unit + three fallback singles");
+        let solo_units: usize = solo.per_thread.iter().map(|t| t.units_claimed).sum();
+        assert_eq!(solo_units, 4, "one cohort unit + three fallback singles");
         assert!(stats.peak_memory.peak_bytes() > 0);
         // Workers that answered at least one query retain workspace buffers.
         for worker in &stats.per_thread {
@@ -1121,7 +925,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_per_query_path_keeps_chunked_cursor_semantics() {
+    fn per_query_path_plans_every_query_as_a_single() {
         let g = paper_example::figure1_graph();
         let eve = Eve::with_defaults(&g);
         let batch = mixed_batch(g.vertex_count() as u32);
@@ -1130,14 +934,14 @@ mod tests {
             .run_detailed(&eve, &batch);
         let stats = &outcome.stats;
         assert_eq!(stats.queries(), batch.len());
-        assert!(stats.chunk_size >= 1);
-        let chunks: usize = stats.per_thread.iter().map(|t| t.chunks_claimed).sum();
-        assert_eq!(chunks, batch.len().div_ceil(stats.chunk_size));
+        assert_eq!(stats.errors, 3);
+        let units: usize = stats.per_thread.iter().map(|t| t.units_claimed).sum();
+        assert_eq!(units, batch.len(), "one single unit per slot");
         assert_eq!(stats.phase1, SharedPhase1Stats::default(), "sharing off");
         // And the slots agree with the shared path bit for bit.
         let shared = BatchExecutor::new(4).run(&eve, &batch);
-        for (i, (legacy, with_sharing)) in outcome.results.iter().zip(&shared).enumerate() {
-            match (legacy, with_sharing) {
+        for (i, (single, with_sharing)) in outcome.results.iter().zip(&shared).enumerate() {
+            match (single, with_sharing) {
                 (Ok(a), Ok(b)) => assert_eq!(a.edges(), b.edges(), "slot {i}"),
                 (Err(a), Err(b)) => assert_eq!(a, b, "slot {i}"),
                 other => panic!("slot {i}: Ok/Err mismatch {other:?}"),
@@ -1163,34 +967,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_size_override_is_honoured_and_harmless() {
-        let g = paper_example::figure1_graph();
-        let eve = Eve::with_defaults(&g);
-        let batch = mixed_batch(g.vertex_count() as u32);
-        let expected = eve.query_batch(&batch);
-        for chunk in [1usize, 2, 7, 1000] {
-            // The chunked cursor belongs to the per-query path; the shared
-            // path claims whole cohort units instead.
-            let outcome = BatchExecutor::new(2)
-                .shared_phase1(false)
-                .chunk_size(chunk)
-                .run_detailed(&eve, &batch);
-            assert_eq!(outcome.stats.chunk_size, chunk);
-            for (got, exp) in outcome.results.iter().zip(&expected) {
-                match (got, exp) {
-                    (Ok(a), Ok(b)) => assert_eq!(a.edges(), b.edges()),
-                    (Err(a), Err(b)) => assert_eq!(a, b),
-                    other => panic!("chunk {chunk}: Ok/Err mismatch {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn cached_runs_match_uncached_at_every_thread_count() {
-        use crate::cache::{CachedEve, SpgCache};
-        use spg_graph::VersionedGraph;
-
         let vg = VersionedGraph::new(paper_example::figure1_graph());
         let cache = SpgCache::new(1 << 20);
         let cached = CachedEve::with_defaults(&vg, &cache);
@@ -1199,10 +976,10 @@ mod tests {
         let mut batch = mixed_batch(vg.vertex_count() as u32);
         let original = batch.clone();
         batch.extend(original);
-        let expected = eve.query_batch(&batch);
+        let expected = sequential(&eve, &batch);
 
         for threads in [1usize, 2, 4, 8] {
-            let outcome = BatchExecutor::new(threads).run_cached_detailed(&cached, &batch);
+            let outcome = run_cached(&BatchExecutor::new(threads), &cached, &batch);
             for (i, (got, exp)) in outcome.results.iter().zip(&expected).enumerate() {
                 match (got, exp) {
                     (Ok(a), Ok(b)) => {
@@ -1236,7 +1013,7 @@ mod tests {
         }
 
         // The cache stayed warm across thread counts: a rerun is all hits.
-        let warm = BatchExecutor::new(4).run_cached_detailed(&cached, &batch);
+        let warm = run_cached(&BatchExecutor::new(4), &cached, &batch);
         assert_eq!(warm.stats.cache_misses, 0);
         assert_eq!(warm.stats.cache_hits, warm.stats.answered);
         assert_eq!(warm.stats.cache_hit_rate(), Some(1.0));
@@ -1258,16 +1035,13 @@ mod tests {
 
     #[test]
     fn identical_cold_misses_compute_once_per_drain() {
-        use crate::cache::{CachedEve, SpgCache};
-        use spg_graph::VersionedGraph;
-
         let vg = VersionedGraph::new(paper_example::figure1_graph());
         let cache = SpgCache::new(1 << 20);
         let cached = CachedEve::with_defaults(&vg, &cache);
         // 64 identical cold queries in one batch: the singleflight probe
         // collapses 63 of them onto the first slot's computation.
         let batch = vec![Query::new(S, T, 4); 64];
-        let outcome = BatchExecutor::new(4).run_cached_detailed(&cached, &batch);
+        let outcome = run_cached(&BatchExecutor::new(4), &cached, &batch);
         assert_eq!(outcome.stats.cache_misses, 1, "one compute");
         assert_eq!(outcome.stats.cache_coalesced, 63, "the rest fan in");
         assert_eq!(outcome.stats.cache_hits, 0);
@@ -1296,16 +1070,28 @@ mod tests {
         let g = paper_example::figure1_graph();
         let eve = Eve::with_defaults(&g);
         let batch: Vec<Query> = (2..=8).map(|k| Query::new(S, T, k)).collect();
-        let expected = eve.query_batch(&batch);
+        let expected = sequential(&eve, &batch);
+        // Each drain starts from a fresh cache, so every valid slot computes.
+        let run = |shared: bool, deadlines: &[Option<Instant>]| {
+            let vg = VersionedGraph::new(paper_example::figure1_graph());
+            let cache = SpgCache::new(1 << 20);
+            let cached = CachedEve::with_defaults(&vg, &cache);
+            BatchExecutor::new(2)
+                .shared_phase1(shared)
+                .run_cached_coalesced_with_deadlines(
+                    &cached,
+                    &FlightGroup::new(),
+                    &batch,
+                    deadlines,
+                )
+        };
         // Slots 1 and 4 are already past their deadline; the rest unbounded.
         let mut deadlines: Vec<Option<Instant>> = vec![None; batch.len()];
         let expired = Instant::now();
         deadlines[1] = Some(expired);
         deadlines[4] = Some(expired);
         for shared in [true, false] {
-            let outcome = BatchExecutor::new(2)
-                .shared_phase1(shared)
-                .run_detailed_with_deadlines(&eve, &batch, &deadlines);
+            let outcome = run(shared, &deadlines);
             for (i, slot) in outcome.results.iter().enumerate() {
                 if i == 1 || i == 4 {
                     assert_eq!(
@@ -1323,61 +1109,26 @@ mod tests {
             }
             assert_eq!(outcome.stats.errors, 2);
             assert_eq!(outcome.stats.panics_isolated, 0);
-        }
 
-        // All members expired: the cohort's shared traversal itself aborts
-        // (its budget is the latest member deadline) and every slot reports
-        // the deadline deterministically.
-        let all_expired: Vec<Option<Instant>> = vec![Some(expired); batch.len()];
-        let outcome = BatchExecutor::new(2).run_detailed_with_deadlines(&eve, &batch, &all_expired);
-        for slot in &outcome.results {
-            assert_eq!(slot.as_ref().unwrap_err(), &QueryError::DeadlineExceeded);
-        }
-    }
-
-    #[test]
-    fn a_panicking_query_is_contained_to_its_slot() {
-        let g = paper_example::figure1_graph();
-        let eve = Eve::with_defaults(&g);
-        let batch: Vec<Query> = (1..=8).map(|k| Query::new(S, T, k)).collect();
-        let expected = eve.query_batch(&batch);
-        // Drive the per-query drain directly with a run_one that blows up on
-        // one slot — the executor must contain it, replace the workspace and
-        // answer every other slot bit-identically.
-        let outcome =
-            BatchExecutor::new(2)
-                .chunk_size(2)
-                .run_with(&batch, &|ws, index, query, _stats| {
-                    if index == 3 {
-                        panic!("injected defect");
-                    }
-                    eve.query_with(ws, query)
-                });
-        for (i, slot) in outcome.results.iter().enumerate() {
-            if i == 3 {
-                assert_eq!(slot.as_ref().unwrap_err(), &QueryError::ExecutionPanicked);
-            } else {
-                assert_eq!(
-                    slot.as_ref().unwrap().edges(),
-                    expected[i].as_ref().unwrap().edges(),
-                    "slot {i}"
-                );
+            // All members expired: with sharing on, the cohort's shared
+            // traversal itself aborts (its budget is the latest member
+            // deadline); either way every slot reports the deadline
+            // deterministically, the clamp-aliased joiner included.
+            let all_expired: Vec<Option<Instant>> = vec![Some(expired); batch.len()];
+            let outcome = run(shared, &all_expired);
+            for slot in &outcome.results {
+                assert_eq!(slot.as_ref().unwrap_err(), &QueryError::DeadlineExceeded);
             }
         }
-        assert_eq!(outcome.stats.panics_isolated, 1);
-        assert_eq!(outcome.stats.errors, 1);
-        assert_eq!(outcome.stats.answered, batch.len() - 1);
     }
 
-    /// Failpoint-injected faults exercise the cohort path, the drain-level
-    /// gate and the singleflight leader. One #[test] (the registry is
-    /// process-global) under the serialization guard.
+    /// Failpoint-injected faults exercise the cohort path, the single-unit
+    /// path, the drain-level gate and the singleflight leader. One #[test]
+    /// (the registry is process-global) under the serialization guard.
     #[cfg(feature = "failpoints")]
     #[test]
     fn injected_faults_are_contained_and_recovered_from() {
-        use crate::cache::{CachedEve, SpgCache};
         use crate::failpoints::{self, FailAction};
-        use spg_graph::VersionedGraph;
 
         let _guard = failpoints::serial_guard();
         failpoints::clear_all();
@@ -1385,7 +1136,7 @@ mod tests {
         let g = paper_example::figure1_graph();
         let eve = Eve::with_defaults(&g);
         let batch: Vec<Query> = (1..=8).map(|k| Query::new(S, T, k)).collect();
-        let expected = eve.query_batch(&batch);
+        let expected = sequential(&eve, &batch);
 
         // A phase-2 panic inside a cohort poisons only that cohort's
         // unanswered members; the drain recovers on a fresh workspace and
@@ -1414,13 +1165,30 @@ mod tests {
             );
         }
 
+        // With sharing off every query is its own single unit, so the same
+        // phase-2 panic is contained to exactly one slot: the workspace is
+        // replaced and every other slot is answered bit-identically.
+        failpoints::set(sites::PHASE2, FailAction::Panic, Some(1));
+        let outcome = BatchExecutor::new(2)
+            .shared_phase1(false)
+            .run_detailed(&eve, &batch);
+        assert_eq!(outcome.stats.panics_isolated, 1);
+        assert_eq!(outcome.stats.errors, 1);
+        assert_eq!(outcome.stats.answered, batch.len() - 1);
+        for (slot, exp) in outcome.results.iter().zip(&expected) {
+            match slot {
+                Ok(spg) => assert_eq!(spg.edges(), exp.as_ref().unwrap().edges()),
+                Err(err) => assert_eq!(err, &QueryError::ExecutionPanicked),
+            }
+        }
+
         // A drain-level budget fault fails the whole cached drain
         // gracefully: every slot answers with the canonical error.
         let vg = VersionedGraph::new(paper_example::figure1_graph());
         let cache = SpgCache::new(1 << 20);
         let cached = CachedEve::with_defaults(&vg, &cache);
         failpoints::set(sites::BATCH_DRAIN, FailAction::Budget, Some(1));
-        let outcome = BatchExecutor::new(2).run_cached_detailed(&cached, &batch);
+        let outcome = run_cached(&BatchExecutor::new(2), &cached, &batch);
         assert_eq!(outcome.results.len(), batch.len());
         for slot in &outcome.results {
             assert_eq!(slot.as_ref().unwrap_err(), &QueryError::BudgetExceeded);
@@ -1433,7 +1201,7 @@ mod tests {
         // budget-failed (not panicked) leader it recomputes under its own
         // unlimited budget and recovers the answer.
         failpoints::set(sites::FLIGHT_LEADER, FailAction::Budget, Some(1));
-        let outcome = BatchExecutor::new(2).run_cached_detailed(&cached, &batch);
+        let outcome = run_cached(&BatchExecutor::new(2), &cached, &batch);
         for (slot, exp) in outcome.results.iter().take(7).zip(&expected) {
             assert_eq!(slot.as_ref().unwrap_err(), &QueryError::BudgetExceeded);
             assert!(exp.is_ok());
@@ -1443,7 +1211,7 @@ mod tests {
             expected[7].as_ref().unwrap().edges(),
             "the joiner recomputed under its own budget"
         );
-        let healthy = BatchExecutor::new(2).run_cached_detailed(&cached, &batch);
+        let healthy = run_cached(&BatchExecutor::new(2), &cached, &batch);
         for (slot, exp) in healthy.results.iter().zip(&expected) {
             assert_eq!(
                 slot.as_ref().unwrap().edges(),
@@ -1462,10 +1230,5 @@ mod tests {
             BatchExecutor::default().threads(),
             BatchExecutor::with_available_parallelism().threads()
         );
-        // Auto chunking: never zero, never more than 64.
-        let ex = BatchExecutor::new(4);
-        assert_eq!(ex.effective_chunk(0), 1);
-        assert_eq!(ex.effective_chunk(10_000), 64);
-        assert_eq!(ex.chunk_size(9).effective_chunk(10_000), 9);
     }
 }

@@ -29,10 +29,11 @@
 //!   latch degrades to the pre-singleflight behaviour instead of
 //!   deadlocking.
 //!
-//! [`crate::BatchExecutor::run_cached`] opens a fresh group per drain (which
-//! is what dedups identical missed keys *within* one batch); a serving
-//! frontend shares one long-lived group across all of its drains so misses
-//! coalesce *across* concurrent batches too.
+//! [`crate::BatchExecutor::run_cached_coalesced_with_deadlines`] takes the
+//! group from its caller. A fresh group per drain dedups identical missed
+//! keys *within* one batch; a serving frontend shares one long-lived group
+//! across all of its drains so misses coalesce *across* concurrent batches
+//! too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

@@ -16,9 +16,7 @@
 //! test in `tests/workspace_reuse.rs` checks that answers are bit-identical
 //! to fresh single-shot queries.
 
-use spg_graph::{
-    FlatDistances, Lanes128, Lanes256, Lanes64, MsBfsEngine, SearchSpace, SpaceScratch,
-};
+use spg_graph::{FlatDistances, Lanes256, Lanes64, MsBfsEngine, SearchSpace, SpaceScratch};
 
 use crate::compact::{FlatPropagation, FlatUpperBound, OrderScratch, VerifyScratch};
 
@@ -42,13 +40,11 @@ pub struct QueryWorkspace {
     pub(crate) dist: FlatDistances,
     /// Bit-parallel bidirectional MS-BFS engines for cohort-shared phase 1,
     /// one per lane-block width (each empty — zero retained bytes — until
-    /// the first shared batch needing that width). `run_cohort` picks the
-    /// narrowest engine that fits a cohort, so small cohorts never pay
-    /// wide-word overhead and the unused widths cost nothing.
+    /// the first shared batch needing that width). `run_cohort` runs every
+    /// cohort that fits on this 64-lane engine, so small cohorts never pay
+    /// wide-word overhead and an unused width costs nothing.
     pub(crate) msbfs64: MsBfsEngine<Lanes64>,
-    /// 128-lane engine (see `msbfs64`).
-    pub(crate) msbfs128: MsBfsEngine<Lanes128>,
-    /// 256-lane engine (see `msbfs64`).
+    /// 256-lane engine for cohorts of 65–256 lanes (see `msbfs64`).
     pub(crate) msbfs256: MsBfsEngine<Lanes256>,
     /// Epoch-stamped global→local vertex translation (graph-sized).
     pub(crate) scratch: SpaceScratch,
@@ -80,7 +76,6 @@ impl QueryWorkspace {
     pub fn retained_bytes(&self) -> usize {
         self.dist.retained_bytes()
             + self.msbfs64.retained_bytes()
-            + self.msbfs128.retained_bytes()
             + self.msbfs256.retained_bytes()
             + self.scratch.memory_bytes()
             + self.space.retained_bytes()

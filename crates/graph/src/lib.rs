@@ -52,8 +52,8 @@ pub use properties::DegreeStats;
 pub use subgraph::EdgeSubgraph;
 pub use traversal::{
     bfs_distances_from, bfs_distances_to, k_hop_reachable, DistanceIndex, DistanceStrategy,
-    FlatDistances, FrontierMode, FrontierPolicy, LaneBlock, Lanes128, Lanes256, Lanes64,
-    MsBfsEngine, MsBfsLane, MsBfsStats, SearchSpace, SearchSpaceStats, SpaceScratch,
+    FlatDistances, FrontierMode, LaneBlock, Lanes256, Lanes64, MsBfsEngine, MsBfsLane, MsBfsStats,
+    SearchSpace, SearchSpaceStats, SpaceScratch,
 };
 pub use versioned::{GraphVersion, VersionedGraph};
 
@@ -75,7 +75,6 @@ const _: () = {
     assert_send_sync::<DistanceIndex>();
     assert_send_sync::<FlatDistances>();
     assert_send_sync::<MsBfsEngine>();
-    assert_send_sync::<MsBfsEngine<Lanes128>>();
     assert_send_sync::<MsBfsEngine<Lanes256>>();
     assert_send_sync::<SearchSpace>();
     assert_send_sync::<SpaceScratch>();

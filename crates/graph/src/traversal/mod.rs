@@ -22,8 +22,7 @@ pub use bfs::{bfs_distances_from, bfs_distances_to, BfsOptions};
 pub use bidirectional::{DistanceIndex, DistanceStrategy, SearchSpaceStats};
 pub use flat_distance::FlatDistances;
 pub use msbfs::{
-    FrontierMode, FrontierPolicy, LaneBlock, Lanes128, Lanes256, Lanes64, MsBfsEngine, MsBfsLane,
-    MsBfsStats, MAX_LANES,
+    FrontierMode, LaneBlock, Lanes256, Lanes64, MsBfsEngine, MsBfsLane, MsBfsStats, MAX_LANES,
 };
 pub use reachability::{k_hop_reachable, shortest_distance};
 pub use search_space::{SearchSpace, SpaceScratch, NO_LOCAL};

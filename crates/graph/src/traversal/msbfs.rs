@@ -13,9 +13,9 @@
 //! recoverable per lane afterwards.
 //!
 //! A lane block is a fixed-size array of `u64` words: `[u64; 1]`
-//! ([`Lanes64`]) carries the classic 64 lanes, `[u64; 2]` ([`Lanes128`]) and
-//! `[u64; 4]` ([`Lanes256`]) widen one traversal to 128 / 256 pairs. The
-//! word-wise `or`/`and`/`not`/`any`/`count_ones` operations are written as
+//! ([`Lanes64`]) carries the classic 64 lanes and `[u64; 4]` ([`Lanes256`])
+//! widens one traversal to 256 pairs. The word-wise
+//! `or`/`and`/`not`/`any`/`count_ones` operations are written as
 //! straight-line array loops with a compile-time trip count, which the
 //! compiler unrolls and autovectorizes on stable Rust (a `[u64; 4]` OR is
 //! one AVX2 operation) — no `std::simd`, no `unsafe`. Wider blocks cost
@@ -57,16 +57,14 @@
 //! **bottom-up** (scan still-undiscovered vertices and gather the frontier
 //! blocks of their reverse neighbours, with early exit once every
 //! still-possible lane has been found) in the style of Beamer's
-//! direction-optimizing BFS. Which one runs is decided per level by the
-//! engine's [`FrontierPolicy`]: the default α/β **hysteresis** enters
-//! bottom-up when the frontier's incident edges exceed `edges / α` and only
-//! returns to top-down once the frontier shrinks below `vertices / β`
-//! (while bottom-up is active the per-level degree scan is skipped
-//! entirely); the legacy [`FrontierPolicy::Fixed`] threshold is retained
-//! for differential tests. [`MsBfsStats`] counts both kinds of edge scan
-//! separately so the switching stays observable, and
-//! [`FrontierPolicy::seeded_from_scan_split`] turns those observed counters
-//! back into tuned α/β thresholds.
+//! direction-optimizing BFS. Which one runs is decided per level by an α/β
+//! **hysteresis** (α = 2, β = 8): a phase enters bottom-up when the
+//! frontier's incident edges exceed `edges / α` and only returns to
+//! top-down once the frontier shrinks below `vertices / β` (while bottom-up
+//! is active the per-level degree scan is skipped entirely).
+//! [`MsBfsStats`] counts both kinds of edge scan separately so the
+//! switching stays observable, and [`FrontierMode`] lets tests force either
+//! direction on every level.
 
 use crate::budget::{BudgetExhausted, QueryBudget};
 use crate::csr::{DiGraph, Direction, VertexId};
@@ -80,7 +78,7 @@ pub const MAX_LANES: usize = 64;
 /// A fixed-size block of `u64` lane words — the unit of bit-parallelism of
 /// [`MsBfsEngine`]. Bit *i* (word `i / 64`, bit `i % 64`) belongs to lane
 /// *i*. Implemented for every `[u64; W]` via const generics; the supported
-/// engine widths are [`Lanes64`], [`Lanes128`] and [`Lanes256`].
+/// engine widths are [`Lanes64`] and [`Lanes256`].
 ///
 /// Every operation is a straight-line loop over the `W` words with a
 /// compile-time trip count, which the compiler unrolls and autovectorizes —
@@ -190,8 +188,6 @@ impl<const W: usize> LaneBlock for [u64; W] {
 
 /// Single-word lane block: 64 lanes, the default engine width.
 pub type Lanes64 = [u64; 1];
-/// Two-word lane block: 128 lanes per traversal.
-pub type Lanes128 = [u64; 2];
 /// Four-word lane block: 256 lanes per traversal (one AVX2 op per
 /// word-wise operation when vectorized).
 pub type Lanes256 = [u64; 4];
@@ -224,86 +220,32 @@ impl MsBfsLane {
     }
 }
 
-/// Per-level expansion policy of the engine.
+/// Per-level expansion policy of the engine. Answers never depend on the
+/// mode, only the work profile does; the forced modes exist so tests can
+/// reach both expansion kinds on any graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FrontierMode {
-    /// Choose top-down or bottom-up per level via the engine's
-    /// [`FrontierPolicy`] (the default, and what production cohorts use).
+    /// Choose top-down or bottom-up per level via the α/β hysteresis (the
+    /// default, and what production cohorts use).
     #[default]
     DirectionOptimizing,
-    /// Always relax frontier adjacency (classic BFS); the baseline the
-    /// `batch_phase1` benchmark compares against.
+    /// Always relax frontier adjacency (classic BFS).
     TopDownOnly,
-    /// Always gather from reverse adjacency (for tests and worst-case
-    /// measurements; correct but wasteful on sparse frontiers).
+    /// Always gather from reverse adjacency (correct but wasteful on
+    /// sparse frontiers).
     BottomUpOnly,
 }
 
-/// How [`FrontierMode::DirectionOptimizing`] decides top-down vs bottom-up
-/// per level. Answers never depend on the policy — only the work profile
-/// does — so differential tests sweep policies freely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FrontierPolicy {
-    /// Beamer-style α/β hysteresis with direction state per traversal
-    /// phase: a top-down level switches to bottom-up when the frontier's
-    /// incident edges exceed `edge_count / alpha`; bottom-up persists —
-    /// skipping the per-level degree scan entirely — until the frontier
-    /// shrinks below `vertex_count / beta` vertices. The defaults
-    /// (α = [`FrontierPolicy::DEFAULT_ALPHA`],
-    /// β = [`FrontierPolicy::DEFAULT_BETA`]) keep the deliberately high
-    /// entry bar of the old fixed threshold — a multi-lane bottom-up gather
-    /// only early-exits once *every* still-possible lane is found, so
-    /// bottom-up pays later than in single-source BFS — while the β exit
-    /// lets a collapsing frontier return to top-down instead of re-scanning
-    /// all vertices level after level.
-    Hysteresis {
-        /// Bottom-up entry: switch when `frontier_edges × alpha > edges`.
-        alpha: u32,
-        /// Top-down return: switch back when
-        /// `frontier_vertices × beta < vertices`.
-        beta: u32,
-    },
-    /// The pre-hysteresis fixed threshold, evaluated from scratch every
-    /// level: bottom-up iff `frontier_edges × denominator ≥ edges`.
-    /// Retained for differential tests and A/B measurements.
-    Fixed {
-        /// The fixed density denominator (the legacy engine used 2).
-        denominator: u32,
-    },
-}
+/// Bottom-up entry of the direction hysteresis: a top-down level switches
+/// when `frontier_edges × ALPHA > edges`. The bar is deliberately high: a
+/// multi-lane bottom-up gather only early-exits once *every* still-possible
+/// lane is found, so bottom-up pays later than in single-source BFS.
+const ALPHA: usize = 2;
 
-impl FrontierPolicy {
-    /// Default bottom-up entry threshold (`frontier_edges > edges / 2`).
-    pub const DEFAULT_ALPHA: u32 = 2;
-    /// Default top-down return threshold (`frontier < vertices / 8`).
-    pub const DEFAULT_BETA: u32 = 8;
-
-    /// Derives hysteresis thresholds from an observed top-down/bottom-up
-    /// edge-scan split — e.g. the `SharedPhase1Stats` traversal counters of
-    /// a prior representative batch. Cheap observed bottom-up gathers
-    /// (early exits firing, `bottom_up ≪ top_down`) justify entering
-    /// bottom-up earlier (lower α); expensive gathers push the switch
-    /// later. With no bottom-up evidence the defaults are kept.
-    pub fn seeded_from_scan_split(top_down_edge_scans: usize, bottom_up_edge_scans: usize) -> Self {
-        if bottom_up_edge_scans == 0 {
-            return FrontierPolicy::default();
-        }
-        let alpha = ((2 * bottom_up_edge_scans) / top_down_edge_scans.max(1)).clamp(1, 16) as u32;
-        FrontierPolicy::Hysteresis {
-            alpha,
-            beta: (alpha * 4).clamp(4, 64),
-        }
-    }
-}
-
-impl Default for FrontierPolicy {
-    fn default() -> Self {
-        FrontierPolicy::Hysteresis {
-            alpha: FrontierPolicy::DEFAULT_ALPHA,
-            beta: FrontierPolicy::DEFAULT_BETA,
-        }
-    }
-}
+/// Top-down return of the direction hysteresis: bottom-up persists until
+/// `frontier_vertices × BETA < vertices`, so a collapsing frontier returns
+/// to top-down instead of re-scanning all vertices level after level.
+const BETA: usize = 8;
 
 /// Work counters of one side of an [`MsBfsEngine::run`], split by expansion
 /// direction so the direction-optimizing switch is observable.
@@ -378,9 +320,9 @@ struct Side<B: LaneBlock> {
     lane_entries: Vec<(VertexId, u32)>,
     /// Fill cursors of `index_lanes`, retained to avoid per-run allocation.
     lane_cursor: Vec<usize>,
-    /// Hysteresis state of [`FrontierPolicy::Hysteresis`]: whether the
-    /// previous level of the current phase ran bottom-up. Reset at every
-    /// phase start (`begin` / `resume_from_paused`).
+    /// Direction hysteresis state: whether the previous level of the
+    /// current phase ran bottom-up. Reset at every phase start (`begin` /
+    /// `resume_from_paused`).
     bottom_up_active: bool,
     stats: MsBfsStats,
 }
@@ -515,27 +457,21 @@ impl<B: LaneBlock> Side<B> {
         level_mask: B,
         restrict: Option<&[B]>,
         mode: FrontierMode,
-        policy: FrontierPolicy,
     ) -> bool {
         let bottom_up = match mode {
             FrontierMode::TopDownOnly => false,
             FrontierMode::BottomUpOnly => true,
-            FrontierMode::DirectionOptimizing => match policy {
-                FrontierPolicy::Fixed { denominator } => {
-                    self.frontier_edges(g, dir) * denominator as usize >= g.edge_count().max(1)
+            FrontierMode::DirectionOptimizing => {
+                if self.bottom_up_active {
+                    // β exit: stay bottom-up until the frontier thins out;
+                    // only its vertex count is consulted, so the per-level
+                    // degree scan is skipped entirely.
+                    self.frontier.len() * BETA >= g.vertex_count().max(1)
+                } else {
+                    // α entry: a dense frontier justifies gathering.
+                    self.frontier_edges(g, dir) * ALPHA > g.edge_count().max(1)
                 }
-                FrontierPolicy::Hysteresis { alpha, beta } => {
-                    if self.bottom_up_active {
-                        // β exit: stay bottom-up until the frontier thins
-                        // out; only its vertex count is consulted, so the
-                        // per-level degree scan is skipped entirely.
-                        self.frontier.len() * beta as usize >= g.vertex_count().max(1)
-                    } else {
-                        // α entry: a dense frontier justifies gathering.
-                        self.frontier_edges(g, dir) * alpha as usize > g.edge_count().max(1)
-                    }
-                }
-            },
+            }
         };
         self.bottom_up_active = bottom_up;
         if bottom_up {
@@ -727,9 +663,9 @@ impl<B: LaneBlock> Side<B> {
 
 /// Reusable bit-parallel multi-source bidirectional BFS engine (see the
 /// module docs), generic over its lane-block width `B`. The default
-/// [`Lanes64`] engine carries 64 lanes; [`Lanes128`] / [`Lanes256`]
-/// engines carry 128 / 256 (cohort planners pick the narrowest block that
-/// fits a cohort, so small cohorts never pay wide-word overhead).
+/// [`Lanes64`] engine carries 64 lanes; a [`Lanes256`] engine carries 256
+/// (cohort planners pick the narrower block whenever a cohort fits it, so
+/// small cohorts never pay wide-word overhead).
 ///
 /// All buffers are retained across runs; between runs the graph-sized bit
 /// arrays are kept all-zero (reset touches only the vertices the previous
@@ -744,7 +680,6 @@ pub struct MsBfsEngine<B: LaneBlock = Lanes64> {
     /// `half_bwd` per lane.
     halves_bwd: Vec<u32>,
     mode: FrontierMode,
-    policy: FrontierPolicy,
     lane_count: usize,
 }
 
@@ -756,7 +691,6 @@ impl<B: LaneBlock> Default for MsBfsEngine<B> {
             halves_fwd: Vec::new(),
             halves_bwd: Vec::new(),
             mode: FrontierMode::default(),
-            policy: FrontierPolicy::default(),
             lane_count: 0,
         }
     }
@@ -773,7 +707,8 @@ impl<B: LaneBlock> MsBfsEngine<B> {
         B::LANES
     }
 
-    /// Sets the per-level expansion policy for subsequent runs.
+    /// Sets the per-level expansion policy for subsequent runs — the test
+    /// hook that forces top-down or bottom-up expansion.
     pub fn set_mode(&mut self, mode: FrontierMode) {
         self.mode = mode;
     }
@@ -781,17 +716,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
     /// The current expansion policy.
     pub fn mode(&self) -> FrontierMode {
         self.mode
-    }
-
-    /// Sets the direction-switch policy used by
-    /// [`FrontierMode::DirectionOptimizing`] for subsequent runs.
-    pub fn set_policy(&mut self, policy: FrontierPolicy) {
-        self.policy = policy;
-    }
-
-    /// The current direction-switch policy.
-    pub fn policy(&self) -> FrontierPolicy {
-        self.policy
     }
 
     /// Runs one shared bidirectional hop-bounded search over `lanes`,
@@ -861,7 +785,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
         self.bwd.record_free_level();
 
         let mode = self.mode;
-        let policy = self.policy;
         // Free phases: each side expands to its per-lane half-depth.
         let mut outcome = Self::free_phase(
             &mut self.fwd,
@@ -869,7 +792,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
             Direction::Forward,
             &self.halves_fwd,
             mode,
-            policy,
             budget,
         );
         if outcome.is_ok() {
@@ -879,7 +801,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
                 Direction::Backward,
                 &self.halves_bwd,
                 mode,
-                policy,
                 budget,
             );
         }
@@ -897,7 +818,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
                 &self.halves_fwd,
                 &self.bwd.seen,
                 mode,
-                policy,
                 budget,
             );
         }
@@ -910,7 +830,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
                 &self.halves_bwd,
                 &self.fwd.seen,
                 mode,
-                policy,
                 budget,
             );
         }
@@ -942,14 +861,12 @@ impl<B: LaneBlock> MsBfsEngine<B> {
     /// seed level is recorded by the caller (see `run_budgeted`); the budget
     /// is polled only at level boundaries, where every set bit is covered
     /// by a record and an abort can restore the all-zero invariant.
-    #[allow(clippy::too_many_arguments)]
     fn free_phase(
         side: &mut Side<B>,
         g: &DiGraph,
         dir: Direction,
         halves: &[u32],
         mode: FrontierMode,
-        policy: FrontierPolicy,
         budget: &QueryBudget,
     ) -> Result<(), BudgetExhausted> {
         let mut depth = 0u32;
@@ -967,7 +884,7 @@ impl<B: LaneBlock> MsBfsEngine<B> {
             if !level_mask.any() {
                 break;
             }
-            if !side.step(g, dir, level_mask, None, mode, policy) {
+            if !side.step(g, dir, level_mask, None, mode) {
                 side.advance();
                 break;
             }
@@ -991,7 +908,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
         halves: &[u32],
         other_seen: &[B],
         mode: FrontierMode,
-        policy: FrontierPolicy,
         budget: &QueryBudget,
     ) -> Result<(), BudgetExhausted> {
         side.resume_from_paused();
@@ -1013,7 +929,7 @@ impl<B: LaneBlock> MsBfsEngine<B> {
             if !level_mask.any() {
                 break;
             }
-            let discovered = side.step(g, dir, level_mask, Some(other_seen), mode, policy);
+            let discovered = side.step(g, dir, level_mask, Some(other_seen), mode);
             side.advance();
             if !discovered {
                 break;
@@ -1201,7 +1117,6 @@ mod tests {
             }
         }
         check::<Lanes64>();
-        check::<Lanes128>();
         check::<Lanes256>();
     }
 
@@ -1292,9 +1207,8 @@ mod tests {
         }
     }
 
-    /// All frontier modes and direction-switch policies produce identical
-    /// per-lane distances; the forced modes actually exercise their
-    /// expansion kind.
+    /// All frontier modes produce identical per-lane distances; the forced
+    /// modes actually exercise their expansion kind.
     #[test]
     fn frontier_modes_agree_and_are_observable() {
         let g = crate::generators::gnm_random(60, 600, 42);
@@ -1306,12 +1220,14 @@ mod tests {
             })
             .collect();
         let mut reference: Option<Vec<Vec<u32>>> = None;
-        let mut check = |mode: FrontierMode, policy: FrontierPolicy| {
+        for mode in [
+            FrontierMode::TopDownOnly,
+            FrontierMode::BottomUpOnly,
+            FrontierMode::DirectionOptimizing,
+        ] {
             let mut engine = MsBfsEngine::<Lanes64>::new();
             engine.set_mode(mode);
-            engine.set_policy(policy);
             assert_eq!(engine.mode(), mode);
-            assert_eq!(engine.policy(), policy);
             engine.run(&g, &lanes);
             let dists: Vec<Vec<u32>> = (0..lanes.len())
                 .flat_map(|lane| {
@@ -1323,7 +1239,7 @@ mod tests {
                 .collect();
             match &reference {
                 None => reference = Some(dists),
-                Some(r) => assert_eq!(r, &dists, "{mode:?} / {policy:?} diverged"),
+                Some(r) => assert_eq!(r, &dists, "{mode:?} diverged"),
             }
             let fwd = engine.side_stats(Direction::Forward);
             let bwd = engine.side_stats(Direction::Backward);
@@ -1350,45 +1266,7 @@ mod tests {
                 acc.total_edge_scans(),
                 fwd.total_edge_scans() + bwd.total_edge_scans()
             );
-        };
-        for mode in [
-            FrontierMode::TopDownOnly,
-            FrontierMode::BottomUpOnly,
-            FrontierMode::DirectionOptimizing,
-        ] {
-            for policy in [
-                FrontierPolicy::default(),
-                FrontierPolicy::Hysteresis {
-                    alpha: 14,
-                    beta: 24,
-                },
-                FrontierPolicy::Fixed { denominator: 2 },
-                FrontierPolicy::Fixed { denominator: 8 },
-            ] {
-                check(mode, policy);
-            }
         }
-    }
-
-    #[test]
-    fn seeded_policy_reacts_to_the_scan_split() {
-        // No bottom-up evidence: keep the defaults.
-        assert_eq!(
-            FrontierPolicy::seeded_from_scan_split(1000, 0),
-            FrontierPolicy::default()
-        );
-        // Cheap gathers (bottom-up did an eighth of the top-down work):
-        // enter bottom-up eagerly.
-        let eager = FrontierPolicy::seeded_from_scan_split(8000, 1000);
-        assert_eq!(eager, FrontierPolicy::Hysteresis { alpha: 1, beta: 4 });
-        // Expensive gathers: raise the entry bar.
-        let FrontierPolicy::Hysteresis { alpha, beta } =
-            FrontierPolicy::seeded_from_scan_split(1000, 8000)
-        else {
-            panic!("seeded policies are hysteresis policies");
-        };
-        assert!(alpha > FrontierPolicy::DEFAULT_ALPHA);
-        assert!(beta >= alpha);
     }
 
     /// Reuse across runs: a big run followed by a small one must not leak

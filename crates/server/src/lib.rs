@@ -14,12 +14,12 @@
 //!   drained in deadline-bounded micro-batches. Overload produces explicit
 //!   `overloaded` responses, never an unbounded queue.
 //! * **[`server`]** — the engine: each micro-batch runs through
-//!   [`spg_core::BatchExecutor::run_cached_coalesced`], which probes the
-//!   shared [`spg_core::SpgCache`], collapses duplicate misses onto
-//!   singleflight latches ([`spg_core::FlightGroup`], shared across
-//!   batches), and computes the distinct misses as one cohort-planned
-//!   parallel run — so shared-endpoint misses get the bit-parallel shared
-//!   Phase 1.
+//!   [`spg_core::BatchExecutor::run_cached_coalesced_with_deadlines`],
+//!   which probes the shared [`spg_core::SpgCache`], collapses duplicate
+//!   misses onto singleflight latches ([`spg_core::FlightGroup`], shared
+//!   across batches), and computes the distinct misses as one
+//!   cohort-planned parallel run — so shared-endpoint misses get the
+//!   bit-parallel shared Phase 1.
 //! * **[`client`]** — a small blocking client (tests, benchmarks,
 //!   reference framing implementation).
 //! * **[`json`]** — the vendored-deps-free JSON layer under all of it.

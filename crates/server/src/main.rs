@@ -14,8 +14,6 @@
 //!   --burst B                per-tenant burst tokens       (default 64)
 //!   --threads N              batch worker threads          (default auto)
 //!   --cache-bytes BYTES      result cache budget           (default 64 MiB)
-//!   --no-shared-phase1       per-query Phase 1 for misses (baseline mode)
-//!   --phase1-lanes N         cohort lane width 64|128|256  (default 256)
 //! ```
 //!
 //! On success the process prints exactly one `LISTENING <addr>` line on
@@ -35,8 +33,7 @@ fn usage(error: &str) -> ExitCode {
     eprintln!(
         "usage: spg-server [--listen ADDR] (--gnm N,M,SEED | --graph PATH) \
          [--batch-max N] [--batch-deadline-us N] [--queue-cap N] [--max-frame BYTES] \
-         [--rate R] [--burst B] [--threads N] [--cache-bytes BYTES] [--no-shared-phase1] \
-         [--phase1-lanes 64|128|256]"
+         [--rate R] [--burst B] [--threads N] [--cache-bytes BYTES]"
     );
     ExitCode::from(2)
 }
@@ -120,19 +117,6 @@ fn parse_args() -> Result<Cli, String> {
                 config.cache_bytes = value("--cache-bytes")?
                     .parse()
                     .map_err(|_| "bad --cache-bytes".to_string())?;
-            }
-            "--no-shared-phase1" => config.shared_phase1 = false,
-            "--phase1-lanes" => {
-                config.phase1_lanes = match value("--phase1-lanes")?.as_str() {
-                    "64" => spg_core::LaneWidth::W64,
-                    "128" => spg_core::LaneWidth::W128,
-                    "256" => spg_core::LaneWidth::W256,
-                    other => {
-                        return Err(format!(
-                            "--phase1-lanes expects 64, 128 or 256, got '{other}'"
-                        ))
-                    }
-                };
             }
             other => return Err(format!("unknown flag '{other}'")),
         }

@@ -14,7 +14,7 @@
 //!   of request order (clients correlate by `id`).
 //! * **Batcher** — a single thread drains the queue in deadline-bounded
 //!   micro-batches and runs each through
-//!   [`BatchExecutor::run_cached_coalesced`]: probe the shared
+//!   [`BatchExecutor::run_cached_coalesced_with_deadlines`]: probe the shared
 //!   [`SpgCache`], collapse duplicate misses onto singleflight latches
 //!   ([`spg_core::FlightGroup`] — shared across batches, so a key already
 //!   computing in the previous drain is joined, not recomputed), and compute
@@ -107,9 +107,9 @@ pub struct ServerConfig {
     /// Cohort-shared MS-BFS Phase 1 for missed queries (the library
     /// default; disable only to measure the per-query baseline).
     pub shared_phase1: bool,
-    /// Widest MS-BFS lane block a shared-Phase-1 cohort may fill
-    /// (64/128/256 pairs per traversal; narrower widths are for
-    /// apples-to-apples benchmarking, not production).
+    /// Widest MS-BFS lane block a shared-Phase-1 cohort may fill (64 or
+    /// 256 pairs per traversal; the 64-lane cap is for apples-to-apples
+    /// benchmarking, not production).
     pub phase1_lanes: LaneWidth,
 }
 

@@ -5,13 +5,13 @@
 //! sequentially on a fresh workspace — same edges per `Ok` slot, same
 //! `QueryError` per `Err` slot, in input order. Batches deliberately mix
 //! hop constraints, shuffled endpoints, huge clamped `k`s and malformed
-//! queries so error slots land on arbitrary workers mid-chunk.
+//! queries so error slots land on arbitrary workers and units.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hop_spg::eve::{BatchExecutor, Eve, LaneWidth, Query};
-use hop_spg::graph::{DiGraph, FrontierMode};
+use hop_spg::graph::DiGraph;
 use hop_spg::workloads::{inject_invalid, mixed_k_queries, shared_endpoint_queries};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -101,28 +101,11 @@ proptest! {
         }
     }
 
-    /// `Eve::query_batch` (one reused workspace, sequential) agrees with the
-    /// executor slot-for-slot as well — the two public batch entry points
-    /// can never drift apart.
-    #[test]
-    fn query_batch_agrees_with_executor((g, batch) in graph_and_batch()) {
-        let eve = Eve::with_defaults(&g);
-        let sequential = eve.query_batch(&batch);
-        let parallel = BatchExecutor::new(4).run(&eve, &batch);
-        for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
-            match (s, p) {
-                (Ok(a), Ok(b)) => prop_assert!(a.edges() == b.edges(), "slot {i} differs"),
-                (Err(a), Err(b)) => prop_assert!(a == b, "slot {i} differs"),
-                _ => prop_assert!(false, "slot {i}: Ok/Err mismatch"),
-            }
-        }
-    }
-
     /// Fraud-ring-shaped batches (few sources × few targets, so cohorts are
     /// dense with duplicate `(s, t)` pairs at mixed `k` including huge
     /// clamped ones and invalid slots) stay bit-identical to sequential
-    /// fresh-workspace queries at every thread count and under every
-    /// Phase-1 frontier mode, with and without sharing.
+    /// fresh-workspace queries at every thread count, with and without
+    /// sharing.
     #[test]
     fn shared_endpoint_cohorts_match_sequential(
         (g, raw) in (6usize..16).prop_flat_map(|n| {
@@ -151,35 +134,20 @@ proptest! {
         for threads in THREAD_COUNTS {
             assert_matches_sequential(&eve, &batch, &expected, threads)?;
         }
-        for mode in [FrontierMode::TopDownOnly, FrontierMode::BottomUpOnly] {
-            let outcome = BatchExecutor::new(3)
-                .phase1_mode(mode)
-                .run_detailed(&eve, &batch);
-            for (i, (got, exp)) in outcome.results.iter().zip(&expected).enumerate() {
-                match (got, exp) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert!(a.edges() == b.as_slice(), "slot {i} mode {mode:?}")
-                    }
-                    (Err(a), Err(b)) => {
-                        prop_assert!(&a.to_string() == b, "slot {i} mode {mode:?}")
-                    }
-                    _ => prop_assert!(false, "slot {i} mode {mode:?}: Ok/Err mismatch"),
-                }
-            }
-            // Every valid query was either cohort-shared or a singleton
-            // fallback, and lanes never exceed the distinct-pair count per
-            // cohort (a pair recurring in several member-capped cohorts is
-            // traversed once per cohort).
-            let valid = batch.iter().filter(|q| q.validate(&g).is_ok()).count();
-            let p1 = &outcome.stats.phase1;
-            prop_assert!(p1.phase1_shared <= valid);
-            prop_assert!(
-                p1.distinct_endpoints <= 9 * p1.cohorts.max(1),
-                "at most 3 × 3 pairs per cohort"
-            );
-            if p1.phase1_shared > 0 {
-                prop_assert!(p1.dedup_ratio().unwrap() >= 1.0);
-            }
+        // Every valid query was either cohort-shared or a singleton
+        // fallback, and lanes never exceed the distinct-pair count per
+        // cohort (a pair recurring in several member-capped cohorts is
+        // traversed once per cohort).
+        let outcome = BatchExecutor::new(3).run_detailed(&eve, &batch);
+        let valid = batch.iter().filter(|q| q.validate(&g).is_ok()).count();
+        let p1 = &outcome.stats.phase1;
+        prop_assert!(p1.phase1_shared <= valid);
+        prop_assert!(
+            p1.distinct_endpoints <= 9 * p1.cohorts.max(1),
+            "at most 3 × 3 pairs per cohort"
+        );
+        if p1.phase1_shared > 0 {
+            prop_assert!(p1.dedup_ratio().unwrap() >= 1.0);
         }
         // Sharing off is the same answer, slot for slot.
         let legacy = BatchExecutor::new(2)
@@ -279,22 +247,12 @@ fn multi_cohort_batches_with_duplicates_and_aliases() {
         "duplicates must dedup: {:?}",
         p1.dedup_ratio()
     );
-
-    // `Eve::query_batch` (sequential cohorts) agrees slot-for-slot too.
-    let sequential = eve.query_batch(&batch);
-    for (i, (s, e)) in sequential.iter().zip(&expected).enumerate() {
-        match (s, e) {
-            (Ok(a), Ok(b)) => assert_eq!(a.edges(), b.edges(), "slot {i} query_batch"),
-            (Err(a), Err(b)) => assert_eq!(a, b, "slot {i} query_batch"),
-            other => panic!("slot {i} query_batch: Ok/Err mismatch {other:?}"),
-        }
-    }
 }
 
 /// Deterministic large-batch check on a realistic graph: a 300-vertex gnm
 /// batch with every fifth slot replaced by an invalid query, compared across
-/// all thread counts and small chunk sizes (so chunk boundaries fall inside
-/// error runs).
+/// all thread counts with sharing on and off (so both the cohort plan and
+/// the all-singles plan meet error slots on every worker).
 #[test]
 fn large_mixed_batch_with_error_slots() {
     let g = hop_spg::graph::generators::gnm_random(300, 1500, 77);
@@ -305,19 +263,17 @@ fn large_mixed_batch_with_error_slots() {
     let expected: Vec<_> = batch.iter().map(|&q| eve.query(q)).collect();
 
     for threads in THREAD_COUNTS {
-        for chunk in [0usize, 1, 3] {
-            let mut executor = BatchExecutor::new(threads);
-            if chunk > 0 {
-                executor = executor.chunk_size(chunk);
-            }
-            let outcome = executor.run_detailed(&eve, &batch);
+        for shared in [true, false] {
+            let outcome = BatchExecutor::new(threads)
+                .shared_phase1(shared)
+                .run_detailed(&eve, &batch);
             assert_eq!(outcome.stats.errors, injected);
             for (i, (got, exp)) in outcome.results.iter().zip(&expected).enumerate() {
                 match (got, exp) {
                     (Ok(a), Ok(b)) => assert_eq!(
                         a.edges(),
                         b.edges(),
-                        "slot {i} threads {threads} chunk {chunk}"
+                        "slot {i} threads {threads} shared {shared}"
                     ),
                     (Err(a), Err(b)) => assert_eq!(a, b),
                     other => panic!("slot {i}: Ok/Err mismatch {other:?}"),

@@ -2,7 +2,8 @@
 //!
 //! The contract under test: routing a batch through the versioned
 //! [`SpgCache`] — sequentially via [`CachedEve`] or in parallel via
-//! [`BatchExecutor::run_cached`] at any thread count — produces slots
+//! [`BatchExecutor::run_cached_coalesced_with_deadlines`] at any thread
+//! count — produces slots
 //! *bit-identical* to the uncached pipeline: same edges and vertex counts
 //! per `Ok` slot, same stats-relevant fields (`upper_bound_edges`, recorded
 //! clamped query), same [`QueryError`] per `Err` slot, in input order.
@@ -13,7 +14,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use hop_spg::eve::{BatchExecutor, CachedEve, Eve, Query, SpgCache};
+use hop_spg::eve::{
+    BatchExecutor, BatchOutcome, CachedEve, Eve, FlightGroup, Query, QueryWorkspace, SpgCache,
+};
 use hop_spg::graph::{DiGraph, VersionedGraph};
 use hop_spg::workloads::repeat_heavy_queries;
 
@@ -48,6 +51,17 @@ fn graph_and_batch() -> impl Strategy<Value = (DiGraph, Vec<Query>)> {
     })
 }
 
+/// One cached drain at `threads` workers, collapsing duplicates within the
+/// batch only.
+fn run_cached(cached: &CachedEve<'_, '_>, batch: &[Query], threads: usize) -> BatchOutcome {
+    BatchExecutor::new(threads).run_cached_coalesced_with_deadlines(
+        cached,
+        &FlightGroup::new(),
+        batch,
+        &[],
+    )
+}
+
 /// One uncached ground-truth slot: edges, upper-bound edge count and the
 /// recorded (clamped) `k` of an `Ok` answer, or the stringified error.
 type UncachedSlot = Result<(Vec<(u32, u32)>, usize, u32), String>;
@@ -76,7 +90,7 @@ fn assert_cached_matches(
     expected: &[UncachedSlot],
     threads: usize,
 ) -> Result<(), String> {
-    let outcome = BatchExecutor::new(threads).run_cached_detailed(cached, batch);
+    let outcome = run_cached(cached, batch, threads);
     prop_assert_eq!(outcome.results.len(), expected.len());
     let mut errors = 0usize;
     for (i, (got, exp)) in outcome.results.iter().zip(expected).enumerate() {
@@ -134,7 +148,7 @@ proptest! {
             assert_cached_matches(&cached, &batch, &expected, threads)?;
         }
         // A fully warm rerun is all hits and still identical.
-        let warm = BatchExecutor::new(4).run_cached_detailed(&cached, &batch);
+        let warm = run_cached(&cached, &batch, 4);
         prop_assert_eq!(warm.stats.cache_misses, 0);
         assert_cached_matches(&cached, &batch, &expected, 4)?;
     }
@@ -162,8 +176,9 @@ proptest! {
         let vg = VersionedGraph::new(g);
         let cache = SpgCache::new(1 << 20);
         let cached = CachedEve::with_defaults(&vg, &cache);
-        let sequential = cached.query_batch(&batch);
-        let parallel = BatchExecutor::new(4).run_cached(&cached, &batch);
+        let mut ws = QueryWorkspace::new();
+        let sequential: Vec<_> = batch.iter().map(|&q| cached.query_with(&mut ws, q)).collect();
+        let parallel = run_cached(&cached, &batch, 4).results;
         for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
             match (s, p) {
                 (Ok(a), Ok(b)) => prop_assert!(a.edges() == b.edges(), "slot {i} differs"),
@@ -223,7 +238,7 @@ fn duplicate_cold_misses_in_one_batch_compute_once() {
         cache.clear();
         let before = cache.stats().insertions;
         let batch = vec![hot; 64];
-        let outcome = BatchExecutor::new(threads).run_cached_detailed(&cached, &batch);
+        let outcome = run_cached(&cached, &batch, threads);
         assert_eq!(
             cache.stats().insertions - before,
             1,

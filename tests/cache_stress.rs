@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
-use hop_spg::eve::{BatchExecutor, CachedEve, Eve, Query, QueryWorkspace, SpgCache};
+use hop_spg::eve::{BatchExecutor, CachedEve, Eve, FlightGroup, Query, QueryWorkspace, SpgCache};
 use hop_spg::graph::generators::gnm_random;
 use hop_spg::graph::VersionedGraph;
 use hop_spg::workloads::{hit_miss_queries, repeat_heavy_queries};
@@ -107,7 +107,12 @@ fn stress(threads: usize, rounds: usize, budget: usize) {
     // counters must sum to the global miss count (the probe phase counts
     // hits and coalesced duplicates on the draining thread) and slots stay
     // correct.
-    let outcome = BatchExecutor::new(threads).run_cached_detailed(&cached, &workload);
+    let outcome = BatchExecutor::new(threads).run_cached_coalesced_with_deadlines(
+        &cached,
+        &FlightGroup::new(),
+        &workload,
+        &[],
+    );
     let misses: usize = outcome
         .stats
         .per_thread

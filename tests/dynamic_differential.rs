@@ -16,7 +16,9 @@ use std::collections::BTreeSet;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use hop_spg::eve::{apply_delta_scoped, BatchExecutor, CachedEve, Eve, Query, SpgCache};
+use hop_spg::eve::{
+    apply_delta_scoped, BatchExecutor, CachedEve, Eve, FlightGroup, Query, SpgCache,
+};
 use hop_spg::graph::{DiGraph, EdgeDelta, VersionedGraph};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -134,7 +136,9 @@ fn run_interleaving(
         let expected = rebuild_reference(n, model, batch);
         let cached = CachedEve::with_defaults(vg, cache);
         for threads in THREAD_COUNTS {
-            let results = BatchExecutor::new(threads).run_cached(&cached, batch);
+            let results = BatchExecutor::new(threads)
+                .run_cached_coalesced_with_deadlines(&cached, &FlightGroup::new(), batch, &[])
+                .results;
             prop_assert_eq!(results.len(), expected.len());
             for (i, (got, exp)) in results.iter().zip(&expected).enumerate() {
                 match (got, exp) {

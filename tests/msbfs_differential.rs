@@ -7,10 +7,11 @@
 //! the queries it serves) — the search-space distances materialised from the
 //! shared traversal are identical to the per-query [`FlatDistances`] engine
 //! under **all three** [`DistanceStrategy`] variants, and to the hash-map
-//! [`DistanceIndex`]. The sweep covers every lane-block width (64-, 128-
-//! and 256-lane cohorts), every [`FrontierMode`], and the α/β hysteresis /
-//! fixed-denominator [`FrontierPolicy`] variants. This is the property that
-//! makes cohort-shared batch answers bit-identical to per-query answers.
+//! [`DistanceIndex`]. The sweep covers both lane-block widths (64- and
+//! 256-lane cohorts) under every [`FrontierMode`]: the forced modes reach
+//! both expansion kinds on any graph, and the direction-optimizing mode
+//! runs the production α/β hysteresis. This is the property that makes
+//! cohort-shared batch answers bit-identical to per-query answers.
 //!
 //! A separate executor-level test covers the widening payoff end to end: a
 //! batch with more than 64 distinct endpoint pairs that the old engine had
@@ -24,8 +25,8 @@ use hop_spg::eve::{BatchExecutor, Eve, LaneWidth, Query};
 use hop_spg::graph::generators::gnm_random;
 use hop_spg::graph::traversal::{DistanceIndex, DistanceStrategy};
 use hop_spg::graph::{
-    DiGraph, Direction, FlatDistances, FrontierMode, FrontierPolicy, LaneBlock, Lanes128, Lanes256,
-    Lanes64, MsBfsEngine, MsBfsLane,
+    DiGraph, Direction, FlatDistances, FrontierMode, LaneBlock, Lanes256, Lanes64, MsBfsEngine,
+    MsBfsLane,
 };
 
 /// A lane spec: endpoints, the query hop budget `k`, and how much deeper
@@ -125,7 +126,6 @@ fn check_width<B: LaneBlock>(
     lanes: &[LaneSpec],
     expected: &[FlatDistances],
     mode: FrontierMode,
-    policy: FrontierPolicy,
 ) {
     let n = g.vertex_count();
     let engine_lanes: Vec<MsBfsLane> = lanes
@@ -138,27 +138,26 @@ fn check_width<B: LaneBlock>(
         .collect();
     let mut engine = MsBfsEngine::<B>::new();
     engine.set_mode(mode);
-    engine.set_policy(policy);
     engine.run(g, &engine_lanes);
     for (lane, (&spec, exp)) in lanes.iter().zip(expected).enumerate() {
         let loaded = load_lane(&engine, lane, n, spec);
         assert_eq!(
             loaded.is_feasible(),
             exp.is_feasible(),
-            "feasibility: {} lanes {mode:?} {policy:?} lane {lane} {spec:?}",
+            "feasibility: {} lanes {mode:?} lane {lane} {spec:?}",
             B::LANES
         );
         for v in g.vertices() {
             assert_eq!(
                 loaded.dist_from_s(v),
                 exp.dist_from_s(v),
-                "dist_from_s: {} lanes {mode:?} {policy:?} lane {lane} v {v} {spec:?}",
+                "dist_from_s: {} lanes {mode:?} lane {lane} v {v} {spec:?}",
                 B::LANES
             );
             assert_eq!(
                 loaded.dist_to_t(v),
                 exp.dist_to_t(v),
-                "dist_to_t: {} lanes {mode:?} {policy:?} lane {lane} v {v} {spec:?}",
+                "dist_to_t: {} lanes {mode:?} lane {lane} v {v} {spec:?}",
                 B::LANES
             );
             assert_eq!(loaded.in_search_space(v), exp.in_search_space(v));
@@ -166,63 +165,35 @@ fn check_width<B: LaneBlock>(
     }
 }
 
-/// (mode, policy) configurations the width sweep exercises: every frontier
-/// mode under the default α/β hysteresis, plus the direction-optimizing
-/// mode under a sluggish hysteresis, the legacy fixed switch and an eager
-/// fixed switch.
-const CONFIGS: [(FrontierMode, FrontierPolicy); 6] = [
-    (
-        FrontierMode::DirectionOptimizing,
-        FrontierPolicy::Hysteresis { alpha: 2, beta: 8 },
-    ),
-    (
-        FrontierMode::TopDownOnly,
-        FrontierPolicy::Hysteresis { alpha: 2, beta: 8 },
-    ),
-    (
-        FrontierMode::BottomUpOnly,
-        FrontierPolicy::Hysteresis { alpha: 2, beta: 8 },
-    ),
-    (
-        FrontierMode::DirectionOptimizing,
-        FrontierPolicy::Hysteresis {
-            alpha: 14,
-            beta: 24,
-        },
-    ),
-    (
-        FrontierMode::DirectionOptimizing,
-        FrontierPolicy::Fixed { denominator: 2 },
-    ),
-    (
-        FrontierMode::DirectionOptimizing,
-        FrontierPolicy::Fixed { denominator: 8 },
-    ),
+/// Frontier modes the width sweep exercises.
+const MODES: [FrontierMode; 3] = [
+    FrontierMode::DirectionOptimizing,
+    FrontierMode::TopDownOnly,
+    FrontierMode::BottomUpOnly,
 ];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Shared-lane distances ≡ `FlatDistances` ≡ `DistanceIndex` for every
-    /// lane-block width, frontier mode and frontier policy, every vertex.
+    /// Shared-lane distances ≡ `FlatDistances` ≡ `DistanceIndex` for both
+    /// lane-block widths and every frontier mode, every vertex.
     #[test]
     fn msbfs_matches_per_query_engines((g, lanes) in graph_and_lanes()) {
         if lanes.is_empty() {
             return Ok(None); // vendored-proptest case rejection
         }
         let expected = reference_distances(&g, &lanes);
-        for (mode, policy) in CONFIGS {
-            check_width::<Lanes64>(&g, &lanes, &expected, mode, policy);
-            check_width::<Lanes128>(&g, &lanes, &expected, mode, policy);
-            check_width::<Lanes256>(&g, &lanes, &expected, mode, policy);
+        for mode in MODES {
+            check_width::<Lanes64>(&g, &lanes, &expected, mode);
+            check_width::<Lanes256>(&g, &lanes, &expected, mode);
         }
     }
 
     /// A duplicate (s, t) pair served by lanes of different hop budgets —
     /// the cohort dedup case, where the deepest k wins the lane — yields
     /// the same *filtered* distances at the smallest budget from every
-    /// lane, all equal to the per-query engine. Checked at both the
-    /// narrowest and the widest block.
+    /// lane, all equal to the per-query engine. Checked at both block
+    /// widths.
     #[test]
     fn deeper_duplicate_lanes_serve_shallower_queries(
         (g, lanes) in graph_and_lanes(),
@@ -270,7 +241,7 @@ proptest! {
 
 /// A batch with more than 64 distinct endpoint pairs sharing one source:
 /// one 64-lane cohort cannot hold it (the solo plan splits it in two), one
-/// 256-lane cohort runs it in a single traversal — and every width's
+/// 256-lane cohort runs it in a single traversal — and both widths'
 /// answers are bit-identical to the per-query path at 1, 2 and 4 threads.
 #[test]
 fn wide_cohorts_match_per_query_at_every_thread_count() {
@@ -308,7 +279,6 @@ fn wide_cohorts_match_per_query_at_every_thread_count() {
 
     for (threads, width) in [
         (1, LaneWidth::W64),
-        (1, LaneWidth::W128),
         (1, LaneWidth::W256),
         (2, LaneWidth::W64),
         (2, LaneWidth::W256),
