@@ -14,7 +14,7 @@
 //! exponential backoff ([`RetryPolicy`]); `error` responses are
 //! deterministic and are returned immediately.
 
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -151,17 +151,21 @@ fn bad_reply(message: &str) -> io::Error {
 /// One blocking protocol connection (see the module docs).
 #[derive(Debug)]
 pub struct SpgClient {
-    stream: TcpStream,
+    /// Read side: a reply comes off the socket in one `read`, not three.
+    reader: BufReader<TcpStream>,
+    /// Write side, a clone of the same socket: frames and raw test bytes.
+    writer: TcpStream,
     max_frame_bytes: usize,
 }
 
 impl SpgClient {
     /// Connects to a running server.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<SpgClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
+        let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         Ok(SpgClient {
-            stream,
+            reader: BufReader::new(writer.try_clone()?),
+            writer,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
         })
     }
@@ -174,25 +178,24 @@ impl SpgClient {
 
     /// Sets a read timeout for [`SpgClient::recv`] (`None` blocks forever).
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.reader.get_ref().set_read_timeout(timeout)
     }
 
     /// Sends one raw payload as a frame (tests use this to send hostile
     /// bytes; well-formed callers use the typed helpers).
     pub fn send_raw(&mut self, payload: &[u8]) -> io::Result<()> {
-        write_frame(&mut self.stream, payload)
+        write_frame(&mut self.writer, payload)
     }
 
     /// Writes raw bytes *without* framing — for tests that truncate a frame
     /// or corrupt a length prefix on purpose.
     pub fn send_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        use std::io::Write;
-        self.stream.write_all(bytes)
+        self.writer.write_all(bytes)
     }
 
     /// Reads one response frame and decodes it.
     pub fn recv(&mut self) -> io::Result<Reply> {
-        let payload = read_frame(&mut self.stream, self.max_frame_bytes).map_err(|e| match e {
+        let payload = read_frame(&mut self.reader, self.max_frame_bytes).map_err(|e| match e {
             FrameError::Io(io) => io,
             other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
         })?;

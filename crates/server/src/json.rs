@@ -383,8 +383,13 @@ pub fn write(value: &Json, out: &mut String) {
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
-        Json::Uint(v) => out.push_str(&v.to_string()),
-        Json::Int(v) => out.push_str(&v.to_string()),
+        Json::Uint(v) => write_u64(out, *v),
+        Json::Int(v) => {
+            if *v < 0 {
+                out.push('-');
+            }
+            write_u64(out, v.unsigned_abs());
+        }
         Json::Float(v) => {
             if v.is_finite() {
                 out.push_str(&format!("{v}"));
@@ -416,6 +421,25 @@ pub fn write(value: &Json, out: &mut String) {
             }
             out.push('}');
         }
+    }
+}
+
+/// Appends the decimal digits of `v` to `out`. The wire's one integer
+/// formatter: [`write`] and the reply encoder in `protocol.rs` both use it,
+/// so no integer goes through a temporary `String` or `core::fmt`.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
     }
 }
 
@@ -472,6 +496,27 @@ mod tests {
         ));
         assert!(matches!(parse(b"1.5").unwrap(), Json::Float(_)));
         assert_eq!(parse(b"1.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn integers_write_exactly_at_the_extremes() {
+        for (value, text) in [
+            (Json::Uint(0), "0"),
+            (Json::Uint(9), "9"),
+            (Json::Uint(10), "10"),
+            (Json::Uint(u64::MAX), "18446744073709551615"),
+            (Json::Int(-1), "-1"),
+            (Json::Int(i64::MIN), "-9223372036854775808"),
+        ] {
+            assert_eq!(to_string(&value), text);
+            assert_eq!(parse(text.as_bytes()).unwrap(), value, "{text} round trips");
+        }
+        let powers = (0..20).flat_map(|e| [10u64.pow(e) - 1, 10u64.pow(e)]);
+        for v in powers.chain((0..64).map(|shift| u64::MAX >> shift)) {
+            let mut out = String::new();
+            write_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]

@@ -123,13 +123,19 @@ pub fn read_frame<R: Read>(reader: &mut R, max_bytes: usize) -> Result<Vec<u8>, 
     Ok(payload)
 }
 
-/// Writes one length-prefixed frame (flushing is the caller's business;
-/// the server's connection writer flushes per response).
+/// Writes one length-prefixed frame with a single `write_all` of prefix
+/// plus payload, so on a `TCP_NODELAY` socket the prefix never leaves in
+/// a segment of its own. This is the only code that knows the frame
+/// format: the server's batcher also frames a drain's replies through it
+/// into one buffer per connection, then writes each buffer with one
+/// `write_all`.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload)
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)
 }
 
 /// One parsed client request.
@@ -342,20 +348,40 @@ fn id_json(id: Option<u64>) -> Json {
     }
 }
 
+/// Bytes of an `ok` reply around its edges at the widest id, source and k:
+/// `{"id":<20>,"status":"ok","source":"coalesced","k":<10>,"edges":[]}`.
+const OK_FIXED_BYTES: usize = 88;
+
+/// Bytes of one edge at the widest endpoints: `[4294967295,4294967295],`.
+const OK_EDGE_BYTES: usize = 24;
+
 /// Builds the `status: ok` response for an answered query: the clamped `k`
 /// the engine recorded plus the full edge list in deterministic order.
+///
+/// The bytes are those [`json::to_string`] emits for the object
+/// `{id, status, source, k, edges}`, written straight into one buffer
+/// sized for the widest reply: no `Json` tree, no per-number `String`.
 pub fn ok_response(id: u64, source: CacheOutcome, clamped_k: u32, edges: &[(u32, u32)]) -> String {
-    let edge_json: Vec<Json> = edges
-        .iter()
-        .map(|&(u, v)| Json::Array(vec![Json::Uint(u as u64), Json::Uint(v as u64)]))
-        .collect();
-    json::to_string(&Json::Object(vec![
-        ("id".into(), Json::Uint(id)),
-        ("status".into(), Json::Str("ok".into())),
-        ("source".into(), Json::Str(source_str(source).into())),
-        ("k".into(), Json::Uint(clamped_k as u64)),
-        ("edges".into(), Json::Array(edge_json)),
-    ]))
+    let mut out = String::with_capacity(OK_FIXED_BYTES + OK_EDGE_BYTES * edges.len());
+    out.push_str("{\"id\":");
+    json::write_u64(&mut out, id);
+    out.push_str(",\"status\":\"ok\",\"source\":\"");
+    out.push_str(source_str(source));
+    out.push_str("\",\"k\":");
+    json::write_u64(&mut out, u64::from(clamped_k));
+    out.push_str(",\"edges\":[");
+    for (i, &(u, v)) in edges.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        json::write_u64(&mut out, u64::from(u));
+        out.push(',');
+        json::write_u64(&mut out, u64::from(v));
+        out.push(']');
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Builds a `status: error` response (malformed frame, protocol violation,
@@ -427,6 +453,8 @@ pub fn pong_response(id: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     #[test]
@@ -624,6 +652,98 @@ mod tests {
             update_response(6, 2, 1, 3),
             r#"{"id":6,"status":"ok","applied":2,"purged":1,"seq":3}"#
         );
+    }
+
+    /// The `ok` reply as a `Json` tree rendered by [`json::to_string`]: the
+    /// encoding the direct encoder replaced, kept here as its oracle.
+    fn ok_response_via_tree(
+        id: u64,
+        source: CacheOutcome,
+        clamped_k: u32,
+        edges: &[(u32, u32)],
+    ) -> String {
+        let edge_json: Vec<Json> = edges
+            .iter()
+            .map(|&(u, v)| Json::Array(vec![Json::Uint(u64::from(u)), Json::Uint(u64::from(v))]))
+            .collect();
+        json::to_string(&Json::Object(vec![
+            ("id".into(), Json::Uint(id)),
+            ("status".into(), Json::Str("ok".into())),
+            ("source".into(), Json::Str(source_str(source).into())),
+            ("k".into(), Json::Uint(u64::from(clamped_k))),
+            ("edges".into(), Json::Array(edge_json)),
+        ]))
+    }
+
+    const OUTCOMES: [CacheOutcome; 3] = [
+        CacheOutcome::Hit,
+        CacheOutcome::Miss,
+        CacheOutcome::Coalesced,
+    ];
+
+    #[test]
+    fn ok_response_matches_the_tree_encoding_at_the_extremes() {
+        let thousand: Vec<(u32, u32)> = (0..1000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> (i % 32), u32::MAX - i))
+            .collect();
+        let lists: [&[(u32, u32)]; 4] = [&[], &[(0, u32::MAX)], &[(u32::MAX, 0)], &thousand];
+        for id in [0, 1, u64::MAX] {
+            for source in OUTCOMES {
+                for k in [0, 1, u32::MAX] {
+                    for edges in lists {
+                        assert_eq!(
+                            ok_response(id, source, k, edges),
+                            ok_response_via_tree(id, source, k, edges),
+                            "id {id}, {source:?}, k {k}, {} edges",
+                            edges.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ok_response_capacity_fits_the_widest_reply() {
+        let widest = [(u32::MAX, u32::MAX); 3];
+        let reply = ok_response(u64::MAX, CacheOutcome::Coalesced, u32::MAX, &widest);
+        // The last edge carries no trailing comma.
+        assert_eq!(
+            reply.len(),
+            OK_FIXED_BYTES + OK_EDGE_BYTES * widest.len() - 1
+        );
+        let empty = ok_response(u64::MAX, CacheOutcome::Coalesced, u32::MAX, &[]);
+        assert_eq!(empty.len(), OK_FIXED_BYTES);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any id, source, k and edge list: the direct encoder's bytes are
+        /// the tree encoder's bytes.
+        #[test]
+        fn ok_response_matches_the_tree_encoding(
+            (id, source, k) in (0u64..u64::MAX, 0usize..3, 0u32..u32::MAX),
+            edges in vec(
+                (endpoint(), endpoint()),
+                0..1100usize,
+            ),
+        ) {
+            let source = OUTCOMES[source];
+            prop_assert_eq!(
+                ok_response(id, source, k, &edges),
+                ok_response_via_tree(id, source, k, &edges)
+            );
+        }
+    }
+
+    /// Vertex ids of every digit count, with both ends of the `u32` range.
+    fn endpoint() -> impl Strategy<Value = u32> {
+        (0u32..4, 0u32..u32::MAX).prop_map(|(pick, r)| match pick {
+            0 => 0,
+            1 => u32::MAX,
+            _ => r >> (r % 32),
+        })
     }
 
     /// The wire contract: `status: error` responses to engine failures carry

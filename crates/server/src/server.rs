@@ -6,19 +6,31 @@
 //! * **Acceptor** — [`SpgServer::run`] polls a non-blocking listener,
 //!   spawning one handler thread per connection.
 //! * **Connection handlers** — each reads length-prefixed frames
-//!   ([`crate::protocol`]), answers `ping`/`stats` and protocol errors
-//!   inline, and pushes admitted queries into the shared
-//!   [`BatchQueue`]. Responses are written by whichever thread finishes the
-//!   work, serialised per connection by a write lock, so one slow query
-//!   never blocks the wire for its neighbours and responses may arrive out
-//!   of request order (clients correlate by `id`).
+//!   ([`crate::protocol`]) through a buffered reader, so a pipelined burst
+//!   of requests comes off the socket in a few `read`s. It answers
+//!   `ping`/`stats`/`update`, refusals and protocol errors inline, one
+//!   frame per write, and pushes admitted queries into the shared
+//!   [`BatchQueue`].
 //! * **Batcher** — a single thread drains the queue in deadline-bounded
-//!   micro-batches and runs each through
+//!   micro-batches, earliest deadline first when a backlog leaves items
+//!   behind, and runs each through
 //!   [`BatchExecutor::run_cached_coalesced_with_deadlines`]: probe the shared
 //!   [`SpgCache`], collapse duplicate misses onto singleflight latches
 //!   ([`spg_core::FlightGroup`] — shared across batches, so a key already
 //!   computing in the previous drain is joined, not recomputed), and compute
 //!   the distinct misses as one cohort-planned parallel run.
+//!
+//! ## Replies
+//!
+//! The batcher answers a drain per connection, not per reply. It frames
+//! every reply of the drain — answers, engine errors, or the error of a
+//! contained panic — into one buffer per connection, in slot order, and
+//! writes each buffer with a single `write_all`, so a drain costs each
+//! connection one write however many of its requests it answered. Shed
+//! `expired` replies go out before the drain runs. Writes to one
+//! connection are serialised by its write lock, so frames never
+//! interleave; inline replies and drain replies may still arrive out of
+//! request order (clients correlate by `id`).
 //!
 //! ## Streaming updates
 //!
@@ -61,7 +73,7 @@
 //! engine that silently keeps accepting connections is exactly the bug this
 //! guards against.
 
-use std::io::Read;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -175,20 +187,31 @@ struct PendingQuery {
 }
 
 /// Write half of one client connection. Reads happen in the connection's
-/// own thread through `&TcpStream`; writes come from any thread and are
-/// serialised by the lock so frames are never interleaved.
+/// own thread through a clone of the stream; writes come from the
+/// connection thread and the batcher and are serialised by the lock so
+/// frames are never interleaved.
 struct Connection {
     stream: TcpStream,
     write_lock: Mutex<()>,
 }
 
 impl Connection {
-    /// Writes one response frame; errors are deliberately swallowed (the
-    /// peer may have hung up while its query computed, which is its right).
+    /// Writes one response frame (see [`Connection::send_frames`]).
     fn send(&self, payload: &str) {
+        let mut frame = Vec::new();
+        // Only a payload past the u32 length prefix fails; it is dropped.
+        if protocol::write_frame(&mut frame, payload.as_bytes()).is_ok() {
+            self.send_frames(&frame);
+        }
+    }
+
+    /// Writes a buffer of whole frames with one `write_all`; errors are
+    /// deliberately swallowed (the peer may have hung up while its query
+    /// computed, which is its right).
+    fn send_frames(&self, frames: &[u8]) {
         let _guard = self.write_lock.lock().expect("connection writer"); // lock: server.conn_write
         let mut stream = &self.stream;
-        let _ = protocol::write_frame(&mut stream, payload.as_bytes());
+        let _ = stream.write_all(frames);
     }
 
     /// Unblocks the reader thread (used at shutdown).
@@ -291,10 +314,11 @@ impl SpgServer {
             graph: RwLock::new(VersionedGraph::new(graph)),
             cache: SpgCache::new(config.cache_bytes),
             flights: FlightGroup::new(),
-            queue: BatchQueue::new(
+            queue: BatchQueue::with_deadline_fn(
                 config.queue_capacity,
                 config.batch_max,
                 config.batch_deadline,
+                |p: &PendingQuery| p.deadline,
             ),
             limiter: RateLimiter::new(config.rate_per_sec, config.burst),
             config,
@@ -403,6 +427,10 @@ fn spawn_batcher(state: &Arc<ServerState>) -> thread::JoinHandle<()> {
         .expect("spawn batcher thread") // spg-analyze: allow(no-panic) — thread spawn failure at startup is fatal by design
 }
 
+/// Read buffer of one connection: a pipelined burst of request frames comes
+/// off the socket in one `read`, not three per frame.
+const READ_BUF_BYTES: usize = 64 << 10;
+
 /// One connection's read loop: frame in, request out (see the module docs
 /// for which thread answers what).
 fn connection_loop(state: &Arc<ServerState>, stream: TcpStream) {
@@ -420,7 +448,7 @@ fn connection_loop(state: &Arc<ServerState>, stream: TcpStream) {
         .expect("connection registry")
         .push(Arc::downgrade(&conn));
 
-    let mut reader = read_half;
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, read_half);
     loop {
         if state.shutdown.load(Ordering::SeqCst) {
             break;
@@ -600,6 +628,9 @@ fn batcher_loop(state: &Arc<ServerState>) {
                 &deadlines,
             )
         }));
+        // The answers are owned: encode and write them outside the lock.
+        drop(graph);
+        let mut replies = DrainReplies::default();
         match drained {
             Ok(outcome) => {
                 state
@@ -612,12 +643,10 @@ fn batcher_loop(state: &Arc<ServerState>) {
                             state.counters.answered.fetch_add(1, Ordering::Relaxed);
                             let source = outcome.slot_sources[i]
                                 .expect("ok slots always carry a cache outcome"); // spg-analyze: allow(no-panic) — ok slots always carry a cache outcome
-                            pending.conn.send(&ok_response(
-                                pending.id,
-                                source,
-                                spg.query().k,
-                                spg.edges(),
-                            ));
+                            replies.push(
+                                &pending.conn,
+                                &ok_response(pending.id, source, spg.query().k, spg.edges()),
+                            );
                         }
                         Err(err) => {
                             state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
@@ -627,7 +656,7 @@ fn batcher_loop(state: &Arc<ServerState>) {
                                     .deadline_exceeded
                                     .fetch_add(1, Ordering::Relaxed);
                             }
-                            pending.conn.send(&query_error_response(pending.id, err));
+                            replies.push(&pending.conn, &query_error_response(pending.id, err));
                         }
                     }
                 }
@@ -637,12 +666,46 @@ fn batcher_loop(state: &Arc<ServerState>) {
                 // unwind, joiners in other drains recompute, we keep serving.
                 for pending in &live {
                     state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
-                    pending.conn.send(&error_response(
-                        Some(pending.id),
-                        "internal error: batch execution panicked",
-                    ));
+                    replies.push(
+                        &pending.conn,
+                        &error_response(
+                            Some(pending.id),
+                            "internal error: batch execution panicked",
+                        ),
+                    );
                 }
             }
+        }
+        replies.send();
+    }
+}
+
+/// One drain's replies, framed into one buffer per connection in slot order
+/// (a drain holds at most `batch_max` slots, so a linear search over the
+/// few connections beats hashing).
+#[derive(Default)]
+struct DrainReplies<'a> {
+    buffers: Vec<(&'a Arc<Connection>, Vec<u8>)>,
+}
+
+impl<'a> DrainReplies<'a> {
+    /// Appends `payload` as one frame to `conn`'s buffer.
+    fn push(&mut self, conn: &'a Arc<Connection>, payload: &str) {
+        let at = match self.buffers.iter().position(|(c, _)| Arc::ptr_eq(c, conn)) {
+            Some(at) => at,
+            None => {
+                self.buffers.push((conn, Vec::new()));
+                self.buffers.len() - 1
+            }
+        };
+        // Only a payload past the u32 length prefix fails; it is dropped.
+        let _ = protocol::write_frame(&mut self.buffers[at].1, payload.as_bytes());
+    }
+
+    /// Writes each connection's buffer with one `write_all`.
+    fn send(self) {
+        for (conn, frames) in &self.buffers {
+            conn.send_frames(frames);
         }
     }
 }
@@ -756,12 +819,54 @@ fn stats_response(state: &Arc<ServerState>, id: u64) -> String {
     json::to_string(&obj)
 }
 
-// `Read` is used through `&TcpStream` (see `connection_loop`); keep the
-// bound explicit so refactors that break it fail here, not at a call site.
+// `Write` is used through `&TcpStream` (see `Connection`); keep the bound
+// explicit so refactors that break it fail here, not at a call site.
 const _: () = {
-    const fn assert_read<T: Read>() {}
-    assert_read::<&TcpStream>();
+    const fn assert_write<T: Write>() {}
+    assert_write::<&TcpStream>();
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ServerState>();
     assert_send_sync::<ServerHandle>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The server's admission queue is built earliest-deadline-first: when a
+    /// backlog exceeds `batch_max`, a tight deadline queued behind lax and
+    /// deadline-less queries lands in the first drained batch.
+    #[test]
+    fn backlog_drains_the_tight_deadline_first() {
+        let config = ServerConfig {
+            batch_max: 2,
+            batch_deadline: Duration::ZERO,
+            ..ServerConfig::default()
+        };
+        let server = SpgServer::bind(DiGraph::from_edges(2, [(0, 1)]), "127.0.0.1:0", config)
+            .expect("bind loopback");
+        let stream = TcpStream::connect(server.local_addr()).expect("connect loopback");
+        let conn = Arc::new(Connection {
+            stream,
+            write_lock: Mutex::new(()),
+        });
+        let now = Instant::now();
+        let pending = |id, deadline| PendingQuery {
+            id,
+            query: Query::new(0, 1, 1),
+            deadline,
+            conn: Arc::clone(&conn),
+        };
+        let queue = &server.state.queue;
+        for (id, deadline) in [
+            (1, Some(now + Duration::from_secs(60))),
+            (2, None),
+            (3, Some(now + Duration::from_secs(1))),
+        ] {
+            assert!(queue.push(pending(id, deadline)).is_ok(), "queue has room");
+        }
+        let ids = |batch: Vec<PendingQuery>| -> Vec<u64> { batch.iter().map(|p| p.id).collect() };
+        assert_eq!(ids(queue.next_batch().expect("first batch")), vec![3, 1]);
+        assert_eq!(ids(queue.next_batch().expect("second batch")), vec![2]);
+    }
+}

@@ -494,3 +494,83 @@ fn retrying_client_rides_out_transient_refusals() {
     handle.shutdown();
     server.join().expect("clean server exit");
 }
+
+#[test]
+fn pipelined_burst_spanning_drains_is_answered_once_per_id() {
+    // One connection pipelines 200 queries and a ping before reading a
+    // single reply. At `batch_max` 64 the queries need at least four
+    // drains, and each drain answers the connection with one write of
+    // several frames; the reader must still see every id exactly once.
+    let (addr, handle, server) = start_server(ServerConfig {
+        batch_max: 64,
+        ..ServerConfig::default()
+    });
+    let graph = test_graph();
+    let eve = Eve::new(&graph, EveConfig::default());
+    let mut client = connect(addr);
+
+    let mut sent = std::collections::HashMap::new();
+    for i in 0..200u64 {
+        let query = match i % 10 {
+            // A small pool of repeats: hits or coalesced slots.
+            0 | 1 => Query::new(0, 1 + (i % 3) as u32, 4),
+            2 => Query::new(7, 7, 4),   // s == t
+            3 => Query::new(999, 1, 4), // s out of range
+            4 => Query::new(3, 9, 0),   // k = 0
+            // Distinct misses.
+            _ => Query::new(
+                (i % 60) as u32,
+                ((i * 7 + 1) % 60) as u32,
+                3 + (i % 3) as u32,
+            ),
+        };
+        client
+            .send_query(i, query.source, query.target, query.k)
+            .expect("send");
+        sent.insert(i, query);
+        if i == 100 {
+            client
+                .send_raw(br#"{"id": 5000, "op": "ping"}"#)
+                .expect("send ping");
+        }
+    }
+
+    let mut answered = std::collections::HashSet::new();
+    for _ in 0..=sent.len() {
+        let reply = client.recv().expect("every frame parses");
+        let id = reply.id.expect("every reply carries its id");
+        assert!(answered.insert(id), "id {id} answered twice");
+        if id == 5000 {
+            assert_eq!(reply.raw.get("pong"), Some(&Json::Bool(true)));
+            continue;
+        }
+        let query = sent.get(&id).expect("reply to a sent id");
+        match eve.query(*query) {
+            Ok(spg) => {
+                assert_eq!(reply.status, "ok", "{query:?}");
+                assert_eq!(reply.edges.as_deref(), Some(spg.edges()), "{query:?}");
+                assert_eq!(reply.k, Some(spg.query().k), "{query:?}");
+            }
+            Err(err) => {
+                assert_eq!(reply.status, "error", "{query:?}");
+                assert_eq!(reply.error, Some(err.to_string()), "{query:?}");
+            }
+        }
+    }
+    // Nothing is left over: the next frame answers a fresh ping.
+    assert_eq!(client.ping(5001).expect("ping").id, Some(5001));
+
+    let stats = client.stats(5002).expect("stats").raw;
+    let server_stat = |key: &str| {
+        stats
+            .get("server")
+            .and_then(|s| s.get(key))
+            .and_then(Json::as_u64)
+            .expect(key)
+    };
+    assert!(server_stat("batches") >= 4, "200 queries at batch_max 64");
+    assert_eq!(server_stat("answered") + server_stat("query_errors"), 200);
+
+    handle.shutdown();
+    server.join().expect("clean server exit");
+}
