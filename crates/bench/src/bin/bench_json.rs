@@ -47,7 +47,14 @@
 //!   orphans every cached entry, so the rerun is all misses), plus the
 //!   per-round purge count and the survivor rate of resident entries (the
 //!   PR-9 trajectory). Both paths' answers are verified bit-identical each
-//!   round before their timings count.
+//!   round before their timings count. It also measures an update at a
+//!   full cache: a cache of `CACHE_BUDGET_BYTES` (1 MiB under `--smoke`)
+//!   filled with k = 6 misses on uniform random pairs, then the median
+//!   `apply_delta_scoped` time to add and to remove one absent edge over 16
+//!   such pairs (`full_cache_add_ns`, `full_cache_remove_ns`), the resident
+//!   entry count, and the process RSS growth while filling divided by the
+//!   budget (`full_cache_rss_to_budget`, Linux only; read the first suite's
+//!   figure, since the second suite's fill reuses memory the first freed).
 //!
 //! Usage: `cargo run --release -p spg-bench --bin bench_json -- \
 //!     [--out BENCH_10.json] [--queries 64] [--repeats 5] \
@@ -588,7 +595,103 @@ fn lane_width_bench(
     }
 }
 
+/// Budget of the full-cache update measurement under `--smoke`.
+const SMOKE_FULL_CACHE_BYTES: usize = 1 << 20;
+
+/// Add/remove pairs of one absent edge timed against the full cache.
+const FULL_CACHE_PAIRS: usize = 16;
+
+/// Hop bound of the misses that fill the cache.
+const FULL_CACHE_K: u32 = 6;
+
+struct FullCacheBench {
+    budget_bytes: usize,
+    entries: usize,
+    bytes: usize,
+    add_ns: u64,
+    remove_ns: u64,
+    rss_to_budget: Option<f64>,
+}
+
+/// Resident set size of this process, from `/proc/self/status` (`None`
+/// where that file does not exist).
+fn resident_set_bytes() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    let kib: usize = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib << 10)
+}
+
+/// xorshift64 step: a dependency-free deterministic pair stream.
+fn next_random(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// An update at a full cache: fills a `budget`-byte cache with k = 6 misses
+/// on uniform random pairs of `g` until every shard has had to evict, then
+/// times `apply_delta_scoped` adding and removing one absent edge,
+/// [`FULL_CACHE_PAIRS`] times (a fresh edge each pair; the graph is back to
+/// `g` after every pair).
+fn full_cache_updates(g: &DiGraph, budget: usize) -> FullCacheBench {
+    let n = g.vertex_count() as u64;
+    let mut vg = VersionedGraph::new(g.clone());
+    let cache = SpgCache::new(budget);
+    let mut ws = QueryWorkspace::new();
+    let mut state = 0x5EED_F111_u64;
+    let rss_before = resident_set_bytes();
+    {
+        let cached = CachedEve::with_defaults(&vg, &cache);
+        let full_after = 4 * cache.stats().shards as u64;
+        while cache.eviction_count() < full_after {
+            let s = (next_random(&mut state) % n) as u32;
+            let t = (next_random(&mut state) % n) as u32;
+            if s != t {
+                cached
+                    .query_with(&mut ws, Query::new(s, t, FULL_CACHE_K))
+                    .expect("in-range pairs are valid queries");
+            }
+        }
+    }
+    let rss_to_budget = rss_before
+        .zip(resident_set_bytes())
+        .map(|(before, after)| after.saturating_sub(before) as f64 / budget as f64);
+    let stats = cache.stats();
+
+    let version = vg.version();
+    let mut add_ns = Vec::with_capacity(FULL_CACHE_PAIRS);
+    let mut remove_ns = Vec::with_capacity(FULL_CACHE_PAIRS);
+    while add_ns.len() < FULL_CACHE_PAIRS {
+        let u = (next_random(&mut state) % n) as u32;
+        let v = (next_random(&mut state) % n) as u32;
+        if u == v || vg.has_edge(u, v) {
+            continue;
+        }
+        for (deltas, samples) in [
+            ([EdgeDelta::add(u, v)], &mut add_ns),
+            ([EdgeDelta::remove(u, v)], &mut remove_ns),
+        ] {
+            let start = Instant::now();
+            let update = apply_delta_scoped(&mut vg, &cache, &deltas).expect("valid delta");
+            samples.push(start.elapsed().as_nanos() as u64);
+            assert_eq!(update.delta.applied, 1, "the edge was absent, then present");
+        }
+    }
+    assert_eq!(vg.version(), version, "every purge completed in place");
+    FullCacheBench {
+        budget_bytes: budget,
+        entries: stats.entries,
+        bytes: stats.bytes,
+        add_ns: median_ns(&mut add_ns),
+        remove_ns: median_ns(&mut remove_ns),
+        rss_to_budget,
+    }
+}
+
 struct DynamicBench {
+    full_cache: FullCacheBench,
     batch_len: usize,
     unique_queries: usize,
     rounds: usize,
@@ -609,6 +712,16 @@ struct DynamicBench {
 /// all misses. Both paths' answers are checked bit-identical every round,
 /// outside the timed regions.
 fn dynamic_bench(g: &DiGraph, smoke: bool) -> DynamicBench {
+    // First, while the process has not yet freed memory an RSS reading
+    // would hide.
+    let full_cache = full_cache_updates(
+        g,
+        if smoke {
+            SMOKE_FULL_CACHE_BYTES
+        } else {
+            CACHE_BUDGET_BYTES
+        },
+    );
     let rounds = if smoke { 4 } else { 12 };
     let count = if smoke { 48 } else { 512 };
     let unique = if smoke { 8 } else { 64 };
@@ -701,6 +814,7 @@ fn dynamic_bench(g: &DiGraph, smoke: bool) -> DynamicBench {
     let update = median_ns(&mut update_ns);
     let rebuild = median_ns(&mut rebuild_ns);
     DynamicBench {
+        full_cache,
         batch_len: batch.len(),
         unique_queries: distinct.len(),
         rounds,
@@ -1067,7 +1181,14 @@ fn render_json(results: &[SuiteResult]) -> String {
                 "        \"update_speedup_vs_rebuild\": {:.2},\n",
                 "        \"mean_purged_per_round\": {:.2},\n",
                 "        \"survivor_rate\": {:.3},\n",
-                "        \"overlay_compactions\": {}\n",
+                "        \"overlay_compactions\": {},\n",
+                "        \"full_cache_budget_bytes\": {},\n",
+                "        \"full_cache_entries\": {},\n",
+                "        \"full_cache_bytes\": {},\n",
+                "        \"full_cache_pairs\": {},\n",
+                "        \"full_cache_add_ns\": {},\n",
+                "        \"full_cache_remove_ns\": {},\n",
+                "        \"full_cache_rss_to_budget\": {}\n",
                 "      }}\n    }}{}\n",
             ),
             d.batch_len,
@@ -1080,6 +1201,15 @@ fn render_json(results: &[SuiteResult]) -> String {
             d.mean_purged_per_round,
             d.survivor_rate,
             d.overlay_compactions,
+            d.full_cache.budget_bytes,
+            d.full_cache.entries,
+            d.full_cache.bytes,
+            FULL_CACHE_PAIRS,
+            d.full_cache.add_ns,
+            d.full_cache.remove_ns,
+            d.full_cache
+                .rss_to_budget
+                .map_or("null".to_string(), |r| format!("{r:.3}")),
             if i + 1 < results.len() { "," } else { "" },
         ));
     }
@@ -1158,6 +1288,19 @@ fn main() {
             d.update_speedup_vs_rebuild,
             d.mean_purged_per_round,
             100.0 * d.survivor_rate,
+        );
+        let f = &d.full_cache;
+        eprintln!(
+            "{}: full cache ({} entries, {} of {} bytes) update add {} ns / remove {} ns (median of {}), RSS growth {} x budget",
+            r.name,
+            f.entries,
+            f.bytes,
+            f.budget_bytes,
+            f.add_ns,
+            f.remove_ns,
+            FULL_CACHE_PAIRS,
+            f.rss_to_budget
+                .map_or("n/a".to_string(), |r| format!("{r:.3}")),
         );
         for p in &r.phase1_sharing {
             eprintln!(

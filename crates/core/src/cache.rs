@@ -28,31 +28,51 @@
 //!   each key and its recorded search-space witness
 //!   ([`SimplePathGraph::witness`]). See [`crate::dynamic`] for the
 //!   soundness argument.
-//! * **Bit-identity** — a hit returns a clone of the stored answer, which was
-//!   produced by the deterministic EVE pipeline; edges, upper-bound counts
-//!   and every other stats-relevant field match an uncached run exactly
-//!   (`tests/cache_differential.rs` proves this property end to end).
-//!   Validation errors are never cached: [`CachedEve`] validates before the
-//!   lookup, so per-slot error behaviour is untouched.
+//! * **Purge rows** — each shard keeps one compact row per slab slot: the
+//!   key (a shard-local version index, `s`, `t`, clamped `k`), a liveness
+//!   marker and a 384-bit hashed signature of the witness (every bit set
+//!   for a witness-less entry), stored column-wise. Purges stream these
+//!   rows and never probe the index map. The addition test needs only the
+//!   16-byte key; the removal test reads an entry's witness, and
+//!   binary-searches it, only when the signature holds both endpoints of a
+//!   removed edge. A signature has no
+//!   false negatives, so a purge removes exactly the entries
+//!   [`InvalidationScope::affects`] selects. Per-shard, per-version counts
+//!   of the resident `k` values answer [`SpgCache::max_resident_k`] in
+//!   O(shards).
+//! * **What a hit carries** — the slab stores only what a hit serves: the
+//!   answer's edge list (behind an [`Arc`], so the shard lock is held for
+//!   two reference-count bumps), its `upper_bound_edges` and the shared
+//!   witness. A hit rebuilds its [`SimplePathGraph`] outside the lock from
+//!   a clone of the stored, already-sorted edge list: same edges, clamped
+//!   query, witness and upper-bound size as the miss that published it
+//!   (the stats-relevant fields `tests/cache_differential.rs` checks
+//!   end to end), with zero timings and work counters because no phase
+//!   ran. Validation errors are never cached: [`CachedEve`] validates
+//!   before the lookup, so per-slot error behaviour is untouched.
 //! * **Bounded memory** — the cache is a sharded (lock-striped) LRU with a
 //!   byte budget. Each shard owns `budget / shards` bytes and evicts its
-//!   least-recently-used entries until it fits, so the global footprint never
-//!   exceeds the budget after any insert/evict sequence. Entry cost is fed by
-//!   the pipeline's [`MemoryEstimate`] (the recorded answer footprint) plus
-//!   fixed per-entry overhead.
+//!   least-recently-used entries until it fits, so the bytes charged never
+//!   exceed the budget after any insert/evict sequence. [`entry_cost`]
+//!   charges what an entry allocates: the purge row, the slab slot, the
+//!   index map's key slots, the shared edge-list allocation with its `Arc`
+//!   header, the edge list (the pipeline's [`MemoryEstimate`] answer
+//!   footprint) and the witness. Allocator rounding is not charged.
 //!
 //! Concurrent readers/writers take one shard mutex per operation; counters
 //! are atomics shared by all shards. A miss computes outside any lock and
 //! then publishes (`compute-then-publish`), so two threads racing on the same
 //! key at worst compute the answer twice and publish identical values —
 //! never a torn entry.
+//!
+//! [`MemoryEstimate`]: crate::stats::MemoryEstimate
 
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use spg_graph::hash::{FxHashMap, FxHashSet, FxHasher};
-use spg_graph::{GraphVersion, QueryBudget, VersionedGraph, VertexId};
+use spg_graph::{EdgeSubgraph, GraphVersion, QueryBudget, VersionedGraph, VertexId};
 
 use crate::dynamic::InvalidationScope;
 use crate::eve::{Eve, EveConfig};
@@ -63,7 +83,24 @@ use crate::workspace::QueryWorkspace;
 /// Slab-index sentinel terminating the intrusive LRU list.
 const NIL: u32 = u32::MAX;
 
-/// Cache key: one graph snapshot plus one clamped query.
+/// Version-index sentinel marking a free slab slot's row.
+const FREE: u32 = u32::MAX;
+
+/// Width of a row's witness signature in 64-bit words (384 bits). On a full
+/// 64 MiB cache of k = 6 answers on gnm(4000, 24000), a removal spent most
+/// of its time on false-positive witness searches at 64 bits (3.0 ms) and
+/// still about half at 256 bits; 384 bits roughly halves it again, and 512
+/// bits gains nothing more than the wider scan costs.
+const SIG_WORDS: usize = 6;
+
+/// Signature width in bits.
+const SIG_BITS: u64 = SIG_WORDS as u64 * 64;
+
+/// Reference-count header of every `Arc` allocation (strong + weak).
+const ARC_HEADER_BYTES: usize = 2 * mem::size_of::<usize>();
+
+/// Cache key: one graph snapshot plus one clamped query. Routes a query to
+/// its shard; inside the shard the version becomes a [`SlotKey`] index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     version: GraphVersion,
@@ -88,16 +125,94 @@ impl CacheKey {
         self.hash(&mut h);
         h.finish()
     }
+
+    fn in_shard(&self, version: u32) -> SlotKey {
+        SlotKey {
+            version,
+            source: self.source,
+            target: self.target,
+            k: self.k,
+        }
+    }
 }
 
-/// One cached answer inside a shard's slab, threaded on the LRU list.
-/// `value` is `None` only while the slot sits on the free list. Answers are
-/// held behind an [`Arc`] so the shard lock is only ever held for O(1)
-/// pointer work — the deep copy a hit hands out happens outside the lock.
-#[derive(Debug, Clone)]
+/// The key half of a purge row, and the index-map key: the version is the
+/// shard's tally index, [`FREE`] for a free slot (the liveness flag).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct SlotKey {
+    version: u32,
+    source: VertexId,
+    target: VertexId,
+    k: u32,
+}
+
+const FREE_KEY: SlotKey = SlotKey {
+    version: FREE,
+    source: 0,
+    target: 0,
+    k: 0,
+};
+
+/// Hashed vertex mask of a witness, the signature half of a purge row.
+/// Each vertex sets two bits (the two halves of one Fibonacci hash, scaled
+/// to the width); a clear bit proves the vertex is not in the witness. Two
+/// bits per vertex let through about half the false positives of one on
+/// the witnesses k = 6 queries record (mostly under 64 vertices). A
+/// witness-less entry sets every bit, so it always reaches the exact test,
+/// which purges it on any removal; a free slot sets none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Signature([u64; SIG_WORDS]);
+
+impl Signature {
+    const EMPTY: Signature = Signature([0; SIG_WORDS]);
+
+    fn of(witness: Option<&[VertexId]>) -> Self {
+        let Some(witness) = witness else {
+            return Signature([u64::MAX; SIG_WORDS]);
+        };
+        let mut sig = Signature::EMPTY;
+        for &v in witness {
+            sig.add(v);
+        }
+        sig
+    }
+
+    /// The probe of a removed edge: the bits of both endpoints.
+    fn of_edge(u: VertexId, v: VertexId) -> Self {
+        let mut sig = Signature::EMPTY;
+        sig.add(u);
+        sig.add(v);
+        sig
+    }
+
+    fn add(&mut self, v: VertexId) {
+        let h = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for half in [h >> 32, h & 0xFFFF_FFFF] {
+            let bit = (half * SIG_BITS) >> 32;
+            self.0[bit as usize / 64] |= 1 << (bit % 64);
+        }
+    }
+
+    /// `true` when every bit of `probe` is set here. Branch-free: a purge
+    /// runs this once per row, and which word rules a row out is random.
+    fn holds(&self, probe: &Signature) -> bool {
+        self.0
+            .iter()
+            .zip(&probe.0)
+            .fold(0, |missing, (&word, &bits)| missing | (bits & !word))
+            == 0
+    }
+}
+
+/// What a hit serves, threaded on the LRU list. The answer fields are
+/// `None` only while the slot sits on the free list. The edge list sits
+/// behind an [`Arc`] so the shard lock is only ever held for O(1) pointer
+/// work — the copy a hit hands out happens outside the lock.
+#[derive(Debug)]
 struct Slot {
-    key: CacheKey,
-    value: Option<Arc<SimplePathGraph>>,
+    edges: Option<Arc<EdgeSubgraph>>,
+    witness: Option<Arc<[VertexId]>>,
+    upper_bound_edges: usize,
     cost: usize,
     /// Towards most-recently-used.
     prev: u32,
@@ -105,12 +220,56 @@ struct Slot {
     next: u32,
 }
 
-/// One lock stripe: an index map plus a slab-backed intrusive LRU list.
+const FREE_SLOT: Slot = Slot {
+    edges: None,
+    witness: None,
+    upper_bound_edges: 0,
+    cost: 0,
+    prev: NIL,
+    next: NIL,
+};
+
+/// What the shard lock hands out on a hit; [`Hit::answer`] rebuilds the
+/// answer after the lock is released.
+struct Hit {
+    edges: Arc<EdgeSubgraph>,
+    witness: Option<Arc<[VertexId]>>,
+    upper_bound_edges: usize,
+}
+
+impl Hit {
+    fn answer(self, query: Query) -> SimplePathGraph {
+        SimplePathGraph::from_cached(
+            query,
+            EdgeSubgraph::clone(&self.edges),
+            self.upper_bound_edges,
+            self.witness,
+        )
+    }
+}
+
+/// Resident entries of one graph version in one shard.
+#[derive(Debug)]
+struct Tally {
+    version: GraphVersion,
+    /// `(k, entries)` pairs sorted by `k`; empty iff the tally is free.
+    k_counts: Vec<(u32, u32)>,
+}
+
+/// One lock stripe: purge rows and answer slots side by side in a slab, an
+/// index map, an intrusive LRU list and the per-version `k` tallies. A
+/// slot's purge row is stored column-wise, `keys[i]` and `sigs[i]`, so the
+/// addition test and the version purges stream 16 bytes per entry and the
+/// removal test starts from the signatures.
 #[derive(Debug, Default)]
 struct Shard {
-    map: FxHashMap<CacheKey, u32>,
+    map: FxHashMap<SlotKey, u32>,
+    keys: Vec<SlotKey>,
+    sigs: Vec<Signature>,
     slots: Vec<Slot>,
     free: Vec<u32>,
+    /// Versions resident in this shard; a row's `version` indexes here.
+    tallies: Vec<Tally>,
     /// Most-recently-used slot (`NIL` when empty).
     head: u32,
     /// Least-recently-used slot (`NIL` when empty).
@@ -125,6 +284,52 @@ impl Shard {
             head: NIL,
             tail: NIL,
             ..Shard::default()
+        }
+    }
+
+    /// The tally index of `version`, if any entry of it is resident.
+    fn tally(&self, version: GraphVersion) -> Option<u32> {
+        self.tallies
+            .iter()
+            .position(|t| !t.k_counts.is_empty() && t.version == version)
+            .map(|i| i as u32)
+    }
+
+    /// Counts one more resident entry of `version` at hop bound `k`,
+    /// claiming a free tally if the version has none. Returns its index.
+    fn count(&mut self, version: GraphVersion, k: u32) -> u32 {
+        let idx = match self.tally(version) {
+            Some(idx) => idx as usize,
+            None => match self.tallies.iter().position(|t| t.k_counts.is_empty()) {
+                Some(idx) => {
+                    self.tallies[idx].version = version;
+                    idx
+                }
+                None => {
+                    self.tallies.push(Tally {
+                        version,
+                        k_counts: Vec::new(),
+                    });
+                    self.tallies.len() - 1
+                }
+            },
+        };
+        let counts = &mut self.tallies[idx].k_counts;
+        match counts.binary_search_by_key(&k, |&(k, _)| k) {
+            Ok(at) => counts[at].1 += 1,
+            Err(at) => counts.insert(at, (k, 1)),
+        }
+        idx as u32
+    }
+
+    /// Reverses one [`Shard::count`]; the tally frees itself at zero.
+    fn uncount(&mut self, tally: u32, k: u32) {
+        let counts = &mut self.tallies[tally as usize].k_counts;
+        if let Ok(at) = counts.binary_search_by_key(&k, |&(k, _)| k) {
+            counts[at].1 -= 1;
+            if counts[at].1 == 0 {
+                counts.remove(at);
+            }
         }
     }
 
@@ -163,63 +368,62 @@ impl Shard {
         }
     }
 
-    /// Removes the least-recently-used entry, returning its cost.
-    fn evict_tail(&mut self) -> usize {
-        let idx = self.tail;
-        debug_assert_ne!(idx, NIL, "evict_tail on an empty shard");
+    /// Drops the resident entry in slot `idx` and recycles the slot.
+    fn remove(&mut self, idx: u32) {
         self.unlink(idx);
-        let slot = &mut self.slots[idx as usize];
-        let cost = slot.cost;
-        // Drop the answer now; only the slab slot itself is recycled.
-        slot.value = None;
-        let key = slot.key;
+        let key = mem::replace(&mut self.keys[idx as usize], FREE_KEY);
+        self.sigs[idx as usize] = Signature::EMPTY;
+        let slot = mem::replace(&mut self.slots[idx as usize], FREE_SLOT);
         self.map.remove(&key);
+        self.uncount(key.version, key.k);
         self.free.push(idx);
-        self.bytes -= cost;
-        cost
+        self.bytes -= slot.cost;
     }
 
-    /// Inserts or refreshes `key` (the value's deep copy was made by the
-    /// caller outside the lock; only O(1) `Arc` clones happen here).
-    /// Returns the number of evictions performed to fit the shard budget,
-    /// or `None` if the entry alone exceeds it.
+    /// Inserts or refreshes `key` (the slot and its signature were built by
+    /// the caller outside the lock; only O(1) moves happen here). Returns
+    /// the number of evictions performed to fit the shard budget, or `None`
+    /// if the entry alone exceeds it.
     fn insert(
         &mut self,
         key: CacheKey,
-        value: &Arc<SimplePathGraph>,
+        slot: Slot,
+        sig: Signature,
         budget: usize,
     ) -> Option<usize> {
-        let cost = entry_cost(value);
+        let cost = slot.cost;
         if cost > budget {
             return None;
         }
-        if let Some(&idx) = self.map.get(&key) {
+        let existing = self
+            .tally(key.version)
+            .and_then(|t| self.map.get(&key.in_shard(t)).copied());
+        if let Some(idx) = existing {
             // Replace in place (identical answer by determinism, but honour
             // the newest value and cost anyway) and refresh recency.
-            let old_cost = self.slots[idx as usize].cost;
-            self.slots[idx as usize].value = Some(Arc::clone(value));
-            self.slots[idx as usize].cost = cost;
-            self.bytes = self.bytes - old_cost + cost;
+            let old = &mut self.slots[idx as usize];
+            self.bytes = self.bytes - old.cost + cost;
+            *old = Slot {
+                prev: old.prev,
+                next: old.next,
+                ..slot
+            };
+            self.sigs[idx as usize] = sig;
             self.touch(idx);
         } else {
+            let key = key.in_shard(self.count(key.version, key.k));
             let idx = match self.free.pop() {
                 Some(idx) => {
-                    let slot = &mut self.slots[idx as usize];
-                    slot.key = key;
-                    slot.value = Some(Arc::clone(value));
-                    slot.cost = cost;
+                    self.keys[idx as usize] = key;
+                    self.sigs[idx as usize] = sig;
+                    self.slots[idx as usize] = slot;
                     idx
                 }
                 None => {
-                    let idx = self.slots.len() as u32;
-                    self.slots.push(Slot {
-                        key,
-                        value: Some(Arc::clone(value)),
-                        cost,
-                        prev: NIL,
-                        next: NIL,
-                    });
-                    idx
+                    self.keys.push(key);
+                    self.sigs.push(sig);
+                    self.slots.push(slot);
+                    self.slots.len() as u32 - 1
                 }
             };
             self.map.insert(key, idx);
@@ -228,76 +432,130 @@ impl Shard {
         }
         let mut evictions = 0;
         while self.bytes > budget {
-            self.evict_tail();
+            self.remove(self.tail);
             evictions += 1;
         }
         Some(evictions)
     }
 
-    /// O(1) under the lock: recency bump plus an `Arc` clone.
-    fn get(&mut self, key: &CacheKey) -> Option<Arc<SimplePathGraph>> {
-        let idx = *self.map.get(key)?;
+    /// O(1) under the lock: recency bump plus two `Arc` clones.
+    fn get(&mut self, key: &CacheKey) -> Option<Hit> {
+        let version = self.tally(key.version)?;
+        let idx = *self.map.get(&key.in_shard(version))?;
         self.touch(idx);
-        Some(
-            self.slots[idx as usize]
-                .value
-                .clone()
-                .expect("a mapped slot always holds a value"), // spg-analyze: allow(no-panic) — invariant: the slot map never points at an empty slot
-        )
+        let slot = &self.slots[idx as usize];
+        Some(Hit {
+            edges: Arc::clone(
+                slot.edges
+                    .as_ref()
+                    .expect("a mapped slot always holds an answer"), // spg-analyze: allow(no-panic) — invariant: the slot map never points at an empty slot
+            ),
+            witness: slot.witness.clone(),
+            upper_bound_edges: slot.upper_bound_edges,
+        })
     }
 
-    /// Drops every resident entry matching `pred` (which sees the key and
-    /// the entry's invalidation witness, if one was recorded), returning the
-    /// number removed.
-    fn purge_matching(&mut self, pred: impl Fn(&CacheKey, Option<&[VertexId]>) -> bool) -> usize {
-        let stale: Vec<u32> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(idx, s)| {
-                self.map.get(&s.key) == Some(&(*idx as u32))
-                    && pred(&s.key, s.value.as_deref().and_then(|v| v.witness()))
-            })
-            .map(|(idx, _)| idx as u32)
-            .collect();
-        for idx in &stale {
-            self.unlink(*idx);
-            let slot = &mut self.slots[*idx as usize];
-            slot.value = None;
-            let key = slot.key;
-            let cost = slot.cost;
-            self.map.remove(&key);
-            self.free.push(*idx);
-            self.bytes -= cost;
+    /// Drops every resident entry whose version tally is in `doomed`,
+    /// returning the number removed. Streams the row keys only.
+    fn purge_tallies(&mut self, doomed: &[u32]) -> usize {
+        if doomed.is_empty() {
+            return 0;
         }
-        stale.len()
+        let mut removed = 0;
+        for idx in 0..self.keys.len() {
+            let version = self.keys[idx].version;
+            if version != FREE && doomed.contains(&version) {
+                self.remove(idx as u32);
+                removed += 1;
+            }
+        }
+        removed
+    }
+
+    /// Drops every entry of the given versions, returning the number removed.
+    fn purge_versions(&mut self, versions: &[GraphVersion]) -> usize {
+        let doomed: Vec<u32> = versions.iter().filter_map(|&v| self.tally(v)).collect();
+        self.purge_tallies(&doomed)
     }
 
     /// Drops every entry whose version differs from `keep`, returning the
     /// number removed.
     fn purge_other_versions(&mut self, keep: GraphVersion) -> usize {
-        self.purge_matching(|key, _| key.version != keep)
+        let doomed: Vec<u32> = (0..self.tallies.len() as u32)
+            .filter(|&t| {
+                let tally = &self.tallies[t as usize];
+                !tally.k_counts.is_empty() && tally.version != keep
+            })
+            .collect();
+        self.purge_tallies(&doomed)
+    }
+
+    /// Drops the entries of `version` that `scope` affects, given one
+    /// signature probe per removed edge. The addition test reads the row
+    /// key; the exact removal test reads the witness only when the row's
+    /// signature holds both endpoints of some removed edge.
+    fn purge_scoped(
+        &mut self,
+        version: GraphVersion,
+        scope: &InvalidationScope,
+        removed: &[Signature],
+    ) -> usize {
+        let Some(tally) = self.tally(version) else {
+            return 0;
+        };
+        let adds = scope.adds_edges();
+        let mut purged = 0;
+        for idx in 0..self.keys.len() {
+            let reached = adds && {
+                let key = &self.keys[idx];
+                key.version == tally && scope.reaches(key.source, key.target, key.k)
+            };
+            let stale = reached
+                || (removed.iter().any(|probe| self.sigs[idx].holds(probe))
+                    && self.keys[idx].version == tally
+                    && scope.removes_from(self.slots[idx].witness.as_deref()));
+            if stale {
+                self.remove(idx as u32);
+                purged += 1;
+            }
+        }
+        purged
+    }
+
+    /// The largest resident `k` of `version`, if any entry of it is resident.
+    fn max_k(&self, version: GraphVersion) -> Option<u32> {
+        let tally = self.tally(version)?;
+        self.tallies[tally as usize]
+            .k_counts
+            .last()
+            .map(|&(k, _)| k)
     }
 
     fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.bytes = 0;
+        *self = Shard::new();
     }
 }
 
-/// Bytes charged per entry on top of the answer payload: the slab slot, the
-/// index-map entry and the map's load-factor slack.
-const ENTRY_OVERHEAD_BYTES: usize = mem::size_of::<Slot>() + 2 * mem::size_of::<(CacheKey, u32)>();
+/// Bytes charged per entry on top of its edge list and witness contents:
+/// the purge row (key and signature), the slab slot, two of the index
+/// map's key slots (the map keeps its load between 7/16 and 7/8), the
+/// shared edge-list allocation with its `Arc` header, and the witness's
+/// `Arc` header (charged to witness-less entries too).
+const ENTRY_OVERHEAD_BYTES: usize = mem::size_of::<SlotKey>()
+    + mem::size_of::<Signature>()
+    + mem::size_of::<Slot>()
+    + 2 * (mem::size_of::<(SlotKey, u32)>() + 1)
+    + ARC_HEADER_BYTES
+    + mem::size_of::<EdgeSubgraph>()
+    + ARC_HEADER_BYTES;
 
 /// Byte cost charged for caching `spg`: the per-entry overhead plus the
 /// answer footprint the pipeline recorded in its [`MemoryEstimate`]
-/// (`verification_bytes` — the answer edge list plus DFS-stack bound).
-/// Answers whose stats were not populated (e.g. assembled by a baseline)
-/// fall back to the edge-list size.
+/// (`verification_bytes` — the answer edge list plus DFS-stack bound) and
+/// the witness. Answers whose stats were not populated (e.g. assembled by a
+/// baseline, or served by a hit) fall back to the edge-list size.
+///
+/// [`MemoryEstimate`]: crate::stats::MemoryEstimate
 pub fn entry_cost(spg: &SimplePathGraph) -> usize {
     let answer_bytes = spg
         .stats()
@@ -445,8 +703,9 @@ impl SpgCache {
 
     /// Looks up the answer for `query` (already clamped) on graph snapshot
     /// `version`, refreshing its recency. Counts a hit or a miss. The shard
-    /// lock is held only for the O(1) probe + recency bump; the deep copy
-    /// handed to the caller happens after it is released.
+    /// lock is held only for the O(1) probe + recency bump; the answer
+    /// handed to the caller is rebuilt after it is released (see the module
+    /// docs for what a hit carries).
     pub fn get(&self, version: GraphVersion, query: Query) -> Option<SimplePathGraph> {
         let key = CacheKey::new(version, query);
         let hit = self.shard_for(&key).lock().expect("cache shard").get(&key); // lock: cache.shard
@@ -454,7 +713,7 @@ impl SpgCache {
             Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed), // spg-analyze: allow(hot-loop) — one bump per cache probe, not an inner loop
             None => self.counters.misses.fetch_add(1, Ordering::Relaxed), // spg-analyze: allow(hot-loop) — one bump per cache probe, not an inner loop
         };
-        hit.map(|arc| (*arc).clone())
+        hit.map(|hit| hit.answer(query))
     }
 
     /// [`SpgCache::get`] without touching the hit/miss counters. The
@@ -467,24 +726,33 @@ impl SpgCache {
             .lock() // lock: cache.shard
             .expect("cache shard")
             .get(&key)
-            .map(|arc| (*arc).clone())
+            .map(|hit| hit.answer(query))
     }
 
     /// Publishes `answer` for `query` (already clamped) on graph snapshot
     /// `version`, evicting least-recently-used entries until the shard fits
     /// its budget. An entry larger than the shard budget is rejected (and
     /// counted) rather than blowing the bound. Re-publishing an existing key
-    /// refreshes the stored value and its recency. The answer's deep copy is
-    /// taken before the shard lock; the locked section is O(evictions).
+    /// refreshes the stored value and its recency. Only what a hit serves is
+    /// kept: the edge list is copied and the witness shared, both before
+    /// the shard lock, together with the witness signature; the locked
+    /// section is O(evictions).
     pub fn insert(&self, version: GraphVersion, query: Query, answer: &SimplePathGraph) {
         let key = CacheKey::new(version, query);
-        let value = Arc::new(answer.clone());
-        // lock: cache.shard
-        let evicted = self.shard_for(&key).lock().expect("cache shard").insert(
-            key,
-            &value,
-            self.shard_budget,
-        );
+        let slot = Slot {
+            edges: Some(Arc::new(answer.as_subgraph().clone())),
+            witness: answer.shared_witness().cloned(),
+            upper_bound_edges: answer.stats().upper_bound_edges,
+            cost: entry_cost(answer),
+            prev: NIL,
+            next: NIL,
+        };
+        let sig = Signature::of(answer.witness());
+        let evicted = self
+            .shard_for(&key)
+            .lock() // lock: cache.shard
+            .expect("cache shard")
+            .insert(key, slot, sig, self.shard_budget);
         match evicted {
             Some(evictions) => {
                 self.counters.insertions.fetch_add(1, Ordering::Relaxed); // spg-analyze: allow(hot-loop) — one bump per insert, not an inner loop
@@ -552,7 +820,7 @@ impl SpgCache {
             .map(|s| {
                 s.lock() // lock: cache.shard
                     .expect("cache shard")
-                    .purge_matching(|key, _| fresh.contains(&key.version))
+                    .purge_versions(&fresh)
             })
             .sum();
         if removed > 0 {
@@ -568,17 +836,23 @@ impl SpgCache {
     /// ([`InvalidationScope::affects`] — addition reachability plus
     /// witness-scoped removals). Entries of other versions and out-of-scope
     /// entries survive and keep serving hits. Returns the number removed.
+    ///
+    /// Streams each shard's purge rows: a shard with no entry of `version`
+    /// costs one tally probe, and an entry's witness is read only when its
+    /// signature holds both endpoints of a removed edge.
     pub fn purge_scoped(&self, version: GraphVersion, scope: &InvalidationScope) -> usize {
+        let removed: Vec<Signature> = scope
+            .removed_edges()
+            .iter()
+            .map(|&(u, v)| Signature::of_edge(u, v))
+            .collect();
         let removed: usize = self
             .shards
             .iter()
             .map(|s| {
                 s.lock() // lock: cache.shard
                     .expect("cache shard")
-                    .purge_matching(|key, witness| {
-                        key.version == version
-                            && scope.affects(key.source, key.target, key.k, witness)
-                    })
+                    .purge_scoped(version, scope, &removed)
             })
             .sum();
         if removed > 0 {
@@ -592,22 +866,19 @@ impl SpgCache {
     /// The largest clamped hop constraint among resident entries of
     /// snapshot `version` (0 when none are resident). Bounds the BFS depth
     /// of a delta batch's addition-reachability sweep — entries with a
-    /// larger `k` cannot exist, so no deeper exploration can matter.
+    /// larger `k` cannot exist, so no deeper exploration can matter. Reads
+    /// each shard's per-version `k` tally: O(shards), not O(entries).
     pub fn max_resident_k(&self, version: GraphVersion) -> u32 {
+        self.resident_k(version).unwrap_or(0)
+    }
+
+    /// [`SpgCache::max_resident_k`], or `None` when no entry of `version`
+    /// is resident at all (an update then has nothing to purge).
+    pub(crate) fn resident_k(&self, version: GraphVersion) -> Option<u32> {
         self.shards
             .iter()
-            .map(|s| {
-                s.lock() // lock: cache.shard
-                    .expect("cache shard")
-                    .map
-                    .keys()
-                    .filter(|key| key.version == version)
-                    .map(|key| key.k)
-                    .max()
-                    .unwrap_or(0)
-            })
+            .filter_map(|s| s.lock().expect("cache shard").max_k(version)) // lock: cache.shard
             .max()
-            .unwrap_or(0)
     }
 
     /// Drops every entry (counters are retained — they are monotone).
@@ -832,7 +1103,7 @@ impl<'g, 'c> CachedEve<'g, 'c> {
 mod tests {
     use super::*;
     use crate::paper_example::{self, names::*};
-    use spg_graph::EdgeSubgraph;
+    use crate::stats::PhaseTimings;
 
     /// A synthetic answer with `edges` edges, for budget scripting.
     fn answer(tag: u32, edges: usize) -> SimplePathGraph {
@@ -971,6 +1242,13 @@ mod tests {
                 second.stats().upper_bound_edges,
                 reference.stats().upper_bound_edges
             );
+            // A hit carries the miss's clamped query and witness; no phase
+            // ran, so its timings and work counters are zero.
+            assert_eq!(second.query(), first.query(), "k={k}");
+            assert!(first.witness().is_some());
+            assert_eq!(second.witness(), first.witness(), "k={k}");
+            assert_eq!(second.stats().timings, PhaseTimings::default());
+            assert_eq!(second.stats().search_space.forward_edge_scans, 0);
         }
         // k = 8 clamps to 7 and is served by the k = 7 entry immediately.
         let (_, alias) = cached.query_with_outcome(&mut ws, q(S, T, 8)).unwrap();
@@ -1110,6 +1388,77 @@ mod tests {
             "other version safe"
         );
         assert_eq!(cache.stats().purged_scoped, 1);
+    }
+
+    #[test]
+    fn entry_overhead_covers_every_fixed_allocation() {
+        let row = mem::size_of::<SlotKey>() + mem::size_of::<Signature>();
+        let fixed = row // the purge row: key and signature
+            + mem::size_of::<Slot>() // the slab slot
+            + mem::size_of::<(SlotKey, u32)>() // at least one index-map key slot
+            + ARC_HEADER_BYTES
+            + mem::size_of::<EdgeSubgraph>() // the shared edge-list allocation
+            + ARC_HEADER_BYTES; // the witness allocation's header
+        assert!(ENTRY_OVERHEAD_BYTES >= fixed);
+        assert_eq!(ARC_HEADER_BYTES, mem::size_of::<Arc<EdgeSubgraph>>() * 2);
+        // An empty, witness-less answer is charged exactly the overhead.
+        assert_eq!(entry_cost(&answer(1, 0)), ENTRY_OVERHEAD_BYTES);
+        // The row is what a purge streams; the slot holds no key.
+        assert!(row <= 64);
+        assert!(mem::size_of::<Slot>() <= 48);
+    }
+
+    #[test]
+    fn signature_false_positives_fall_through_to_the_witness() {
+        use spg_graph::{DiGraph, EdgeDelta};
+        let witness: Vec<VertexId> = (0..40).collect();
+        let sig = Signature::of(Some(&witness));
+        let bits = |v: VertexId| Signature::of(Some(&[v]));
+        // Vertices outside the witness whose bits the signature holds
+        // anyway, and one it rules out.
+        let mut decoys = (40..).filter(|&v| sig.holds(&bits(v)));
+        let (a2, b2) = (decoys.next().unwrap(), decoys.next().unwrap());
+        let outsider = (40..).find(|&v| !sig.holds(&bits(v))).unwrap();
+        assert!(sig.holds(&Signature::of_edge(a2, b2)));
+        assert!(!sig.holds(&Signature::of_edge(3, outsider)));
+        assert!(Signature::of(None).holds(&Signature::of_edge(a2, b2)));
+        assert!(!Signature::EMPTY.holds(&Signature::of_edge(3, 7)));
+
+        let cache = SpgCache::with_shards(1 << 16, 1);
+        cache.insert(1, q(0, 1, 4), &answer(1, 2).with_witness(&witness));
+        let g = DiGraph::empty(a2.max(b2) as usize + 1);
+        let decoy = InvalidationScope::build(&g, &[EdgeDelta::remove(a2, b2)], 4);
+        assert_eq!(
+            cache.purge_scoped(1, &decoy),
+            0,
+            "the signature passes both decoys; the witness search rejects them"
+        );
+        let real = InvalidationScope::build(&g, &[EdgeDelta::remove(3, 7)], 4);
+        assert_eq!(cache.purge_scoped(1, &real), 1);
+    }
+
+    #[test]
+    fn resident_k_tallies_follow_inserts_evictions_and_purges() {
+        let a = answer(1, 8);
+        let budget = 2 * entry_cost(&a) + entry_cost(&a) / 2;
+        let cache = SpgCache::with_shards(budget, 1);
+        assert_eq!(cache.resident_k(1), None);
+        cache.insert(1, q(0, 1, 7), &a);
+        cache.insert(1, q(0, 1, 3), &answer(2, 8));
+        cache.insert(2, q(0, 1, 9), &answer(3, 8)); // evicts the k = 7 entry
+        assert_eq!(cache.max_resident_k(1), 3);
+        assert_eq!(cache.max_resident_k(2), 9);
+        cache.insert(1, q(0, 1, 5), &answer(4, 8)); // evicts the k = 3 entry
+        assert_eq!(cache.max_resident_k(1), 5);
+        assert_eq!(cache.purge_other_versions(2), 1);
+        assert_eq!(cache.resident_k(1), None, "nothing of version 1 is left");
+        assert_eq!(cache.resident_k(2), Some(9));
+        // A freed tally is reused by the next version.
+        cache.insert(3, q(0, 1, 2), &answer(5, 8));
+        assert_eq!(cache.max_resident_k(3), 2);
+        assert_eq!(cache.shards[0].lock().unwrap().tallies.len(), 2);
+        cache.clear();
+        assert_eq!(cache.resident_k(2), None);
     }
 
     #[test]

@@ -33,12 +33,38 @@
 //! resident `k` for this version, build the scope, purge. Callers must
 //! serialise it with concurrent cached readers the same way `replace` is
 //! serialised (the server runs it under its graph write lock).
+//!
+//! **What an update costs.** Everything after the apply is paid under that
+//! write lock, so it is kept proportional to what the batch touches:
+//!
+//! * the resident-`k` probe reads per-shard, per-version tallies — O(shards);
+//!   when no entry of the version is resident the update stops there, for
+//!   additions and removals alike;
+//! * the scope build runs the two BFS sweeps only for batches that add
+//!   edges, bounded by the resident `k`;
+//! * the purge streams each shard's compact rows (64 bytes per entry,
+//!   stored column-wise: a 16-byte key with liveness, and a 384-bit
+//!   witness signature). The addition test reads the keys alone; the
+//!   removal test first checks the signatures for both endpoints of each
+//!   removed edge and reads the witness only on a signature hit. A shard holding no entry of the
+//!   version is skipped after one tally probe.
+//!
+//! **A purge that fails never leaves stale answers reachable.** If the
+//! scope build or the purge panics or errors (the `update_purge` failpoint
+//! injects both), [`apply_delta_scoped`] catches it and restamps the graph
+//! ([`VersionedGraph::restamp`], O(1)): the old version is retired, every
+//! entry keyed by it becomes unreachable, and the next bind reclaims its
+//! bytes. The deltas stay applied and are reported as such.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use spg_graph::{
     DeltaError, DeltaVersion, DiGraph, Direction, EdgeDelta, VersionedGraph, VertexId,
 };
 
 use crate::cache::SpgCache;
+use crate::failpoints::{self, sites};
+use crate::query::QueryError;
 use crate::spg::SimplePathGraph;
 
 /// Unreachable / beyond-depth sentinel shared with the traversal layer.
@@ -109,34 +135,54 @@ impl InvalidationScope {
         k: u32,
         witness: Option<&[VertexId]>,
     ) -> bool {
-        if let Some(reach) = &self.additions {
-            let ds = reach
-                .to_sources
-                .get(source as usize)
-                .copied()
-                .unwrap_or(INF);
-            let dt = reach
-                .from_targets
-                .get(target as usize)
-                .copied()
-                .unwrap_or(INF);
-            if ds != INF && dt != INF && ds.saturating_add(1).saturating_add(dt) <= k {
-                return true;
-            }
+        self.reaches(source, target, k) || self.removes_from(witness)
+    }
+
+    /// The addition test alone: some added edge may lie on a ≤ `k`-hop
+    /// `source → target` walk.
+    pub(crate) fn reaches(&self, source: VertexId, target: VertexId, k: u32) -> bool {
+        let Some(reach) = &self.additions else {
+            return false;
+        };
+        let ds = reach
+            .to_sources
+            .get(source as usize)
+            .copied()
+            .unwrap_or(INF);
+        let dt = reach
+            .from_targets
+            .get(target as usize)
+            .copied()
+            .unwrap_or(INF);
+        // In u64 an unreached side (INF = u32::MAX) already exceeds every
+        // k, so no branch is needed: a purge runs this once per row.
+        u64::from(ds) + 1 + u64::from(dt) <= u64::from(k)
+    }
+
+    /// The removal test alone: some removed edge has both endpoints in
+    /// `witness` (always, for a witness-less entry, when the batch removes
+    /// anything).
+    pub(crate) fn removes_from(&self, witness: Option<&[VertexId]>) -> bool {
+        if self.removed.is_empty() {
+            return false;
         }
-        if !self.removed.is_empty() {
-            match witness {
-                None => return true,
-                Some(w) => {
-                    for &(u, v) in &self.removed {
-                        if w.binary_search(&u).is_ok() && w.binary_search(&v).is_ok() {
-                            return true;
-                        }
-                    }
-                }
-            }
+        match witness {
+            None => true,
+            Some(w) => self
+                .removed
+                .iter()
+                .any(|&(u, v)| w.binary_search(&u).is_ok() && w.binary_search(&v).is_ok()),
         }
-        false
+    }
+
+    /// `true` when the batch adds edges (and the addition test can fire).
+    pub(crate) fn adds_edges(&self) -> bool {
+        self.additions.is_some()
+    }
+
+    /// The removed edges of the batch.
+    pub(crate) fn removed_edges(&self) -> &[(VertexId, VertexId)] {
+        &self.removed
     }
 
     /// `true` when the scope can never match anything (an all-no-op batch).
@@ -156,10 +202,16 @@ pub struct DeltaUpdate {
 
 /// Applies `deltas` to `graph` and purges exactly the cache entries the
 /// batch could have affected (see the module docs for the soundness
-/// argument). On `Err` neither the graph nor the cache changed. The caller
-/// serialises this against concurrent cached readers of the same graph —
-/// `&mut VersionedGraph` already excludes same-thread readers, and the
-/// server performs it under its graph write lock.
+/// argument and the cost). On `Err` neither the graph nor the cache
+/// changed. The caller serialises this against concurrent cached readers of
+/// the same graph — `&mut VersionedGraph` already excludes same-thread
+/// readers, and the server performs it under its graph write lock.
+///
+/// If the scope build or the purge panics or errors, the graph is
+/// restamped ([`VersionedGraph::restamp`]) so no entry of the old version
+/// stays reachable; the deltas remain applied, the receipt still reports
+/// them (under the pre-restamp version) and `purged` is 0 — the orphaned
+/// entries are reclaimed as stale on the next [`crate::CachedEve`] bind.
 pub fn apply_delta_scoped(
     graph: &mut VersionedGraph,
     cache: &SpgCache,
@@ -167,17 +219,26 @@ pub fn apply_delta_scoped(
 ) -> Result<DeltaUpdate, DeltaError> {
     let delta = graph.apply_delta(deltas)?;
     let version = graph.version();
-    // Depth-bound the BFS sweeps by the deepest entry that could be hit;
-    // an empty cache (max k = 0) skips the sweeps and the purge outright.
-    let max_k = cache.max_resident_k(version);
-    let purged = if max_k == 0 && deltas.iter().all(|d| d.op == spg_graph::DeltaOp::Add) {
-        0
-    } else {
+    let scoped = catch_unwind(AssertUnwindSafe(|| -> Result<usize, QueryError> {
+        failpoints::check(sites::UPDATE_PURGE)?;
+        // Depth-bound the BFS sweeps by the deepest entry that could be
+        // hit; with no entry of this version resident there is nothing to
+        // purge, whatever the batch does.
+        let Some(max_k) = cache.resident_k(version) else {
+            return Ok(0);
+        };
         let scope = InvalidationScope::build(graph.graph(), deltas, max_k);
-        if scope.is_vacuous() {
+        Ok(if scope.is_vacuous() {
             0
         } else {
             cache.purge_scoped(version, &scope)
+        })
+    }));
+    let purged = match scoped {
+        Ok(Ok(purged)) => purged,
+        Ok(Err(_)) | Err(_) => {
+            graph.restamp();
+            0
         }
     };
     Ok(DeltaUpdate { delta, purged })
@@ -276,6 +337,69 @@ mod tests {
         assert_eq!(up.delta.seq, 1);
         assert!(apply_delta_scoped(&mut vg, &cache, &[EdgeDelta::add(0, 9)]).is_err());
         assert_eq!(vg.delta_seq(), 1, "rejected batch left the graph alone");
+
+        // A removal with nothing of this version resident skips the sweep
+        // too: another graph's witness-less entry, which any scoped sweep
+        // of its own version would purge, is not even looked at.
+        let other = VersionedGraph::from_edges(4, [(0, 1), (1, 2)]);
+        CachedEve::with_defaults(&other, &cache)
+            .query(Query::new(0, 2, 2))
+            .unwrap();
+        let up = apply_delta_scoped(&mut vg, &cache, &[EdgeDelta::remove(0, 1)]).unwrap();
+        assert_eq!((up.purged, up.delta.applied, up.delta.seq), (0, 1, 2));
+        assert_eq!(cache.len(), 1, "the other graph's entry survives");
+        assert_eq!(cache.max_resident_k(vg.version()), 0);
+    }
+
+    /// A purge that fails after the graph mutated must not leave stale
+    /// entries reachable.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn a_failed_purge_restamps_instead_of_serving_stale_answers() {
+        use crate::cache::CacheOutcome;
+        use crate::failpoints::FailAction;
+        use crate::workspace::QueryWorkspace;
+
+        let _guard = failpoints::serial_guard();
+        failpoints::clear_all();
+        let mut vg = VersionedGraph::new(paper_example::figure1_graph());
+        let cache = SpgCache::new(1 << 20);
+        let q = Query::new(S, T, 4);
+        CachedEve::with_defaults(&vg, &cache).query(q).unwrap();
+
+        for (action, edge) in [
+            (FailAction::Panic, EdgeDelta::remove(C, T)),
+            (FailAction::Budget, EdgeDelta::add(C, T)),
+        ] {
+            let before = vg.version();
+            failpoints::set(sites::UPDATE_PURGE, action, Some(1));
+            // (C, T) lies inside the cached entry's search space.
+            let up = apply_delta_scoped(&mut vg, &cache, &[edge]).unwrap();
+            assert_eq!(up.delta.applied, 1, "{action:?}: the delta stays applied");
+            assert_eq!(up.purged, 0);
+            assert_ne!(vg.version(), before, "{action:?}: the graph is restamped");
+            assert_eq!(vg.retired().last(), Some(&before));
+
+            let cached = CachedEve::with_defaults(&vg, &cache); // reclaims the orphans
+            let (requery, outcome) = cached
+                .query_with_outcome(&mut QueryWorkspace::new(), q)
+                .unwrap();
+            assert_eq!(outcome, CacheOutcome::Miss, "{action:?}");
+            let reference = crate::Eve::with_defaults(vg.graph()).query(q).unwrap();
+            assert_eq!(requery.edges(), reference.edges(), "{action:?}");
+        }
+        assert_eq!(
+            cache.stats().purged_stale,
+            2,
+            "each bind reclaimed an orphan"
+        );
+
+        // Disarmed: the next update purges normally and keeps the version.
+        let version = vg.version();
+        let up = apply_delta_scoped(&mut vg, &cache, &[EdgeDelta::remove(C, T)]).unwrap();
+        assert_eq!(up.purged, 1);
+        assert_eq!(vg.version(), version);
+        failpoints::clear_all();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fault-injection (chaos) hooks, compiled in only with `--features
 //! failpoints`.
 //!
-//! A *failpoint* is a named site in the query pipeline where a test can
+//! A *failpoint* is a named site in the query or update path where a test can
 //! inject a fault: a panic (exercises the executor's per-slot isolation), a
 //! delay (exercises deadlines and queue-wait shedding), or a synthetic
 //! budget exhaustion (exercises the cooperative-cancellation paths without
@@ -37,8 +37,19 @@ pub mod sites {
     pub const FLIGHT_LEADER: &str = "flight_leader";
     /// Batch executor entry, before any slot runs.
     pub const BATCH_DRAIN: &str = "batch_drain";
-    /// Every site, in the order a query traverses them.
-    pub const ALL: [&str; 6] = [BATCH_DRAIN, FLIGHT_LEADER, PHASE1, PHASE1B, PHASE2, VERIFY];
+    /// An edge-delta update, after the graph mutation and before its
+    /// scoped cache purge (`apply_delta_scoped`).
+    pub const UPDATE_PURGE: &str = "update_purge";
+    /// Every site: the ones a query traverses, in order, then the update's.
+    pub const ALL: [&str; 7] = [
+        BATCH_DRAIN,
+        FLIGHT_LEADER,
+        PHASE1,
+        PHASE1B,
+        PHASE2,
+        VERIFY,
+        UPDATE_PURGE,
+    ];
 }
 
 #[cfg(not(feature = "failpoints"))]

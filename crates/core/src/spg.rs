@@ -50,11 +50,37 @@ impl SimplePathGraph {
         self
     }
 
+    /// Rebuilds an answer the result cache served: the stored edge list
+    /// (already sorted and deduplicated, so it is taken as is), the
+    /// upper-bound size and the shared witness. No phase ran, so every
+    /// timing and work counter is zero.
+    pub(crate) fn from_cached(
+        query: Query,
+        edges: EdgeSubgraph,
+        upper_bound_edges: usize,
+        witness: Option<Arc<[VertexId]>>,
+    ) -> Self {
+        SimplePathGraph {
+            query,
+            edges,
+            stats: EveStats {
+                upper_bound_edges,
+                ..EveStats::default()
+            },
+            witness,
+        }
+    }
+
     /// The invalidation witness, if the producer attached one: sorted global
     /// vertex ids of the search space (shared, not copied, across cache
     /// clones of this answer).
     pub fn witness(&self) -> Option<&[VertexId]> {
         self.witness.as_deref()
+    }
+
+    /// The witness allocation itself, so the cache can share it.
+    pub(crate) fn shared_witness(&self) -> Option<&Arc<[VertexId]>> {
+        self.witness.as_ref()
     }
 
     /// The query this answer belongs to.

@@ -22,7 +22,8 @@
 //!   snapshot swaps. These re-stamp the version and record the old stamp in
 //!   the **retired list**, which cache layers drain to purge the now
 //!   permanently-unreachable entries eagerly instead of waiting for LRU
-//!   pressure.
+//!   pressure. [`VersionedGraph::restamp`] does the same in O(1) without
+//!   touching the graph: the fallback when a delta's scoped purge fails.
 //! * [`VersionedGraph::apply_delta`] — streaming edge deltas applied as a
 //!   CSR overlay ([`DiGraph::apply_delta`]). The version is deliberately
 //!   **unchanged**: cache entries whose answers survive the delta stay
@@ -214,9 +215,18 @@ impl VersionedGraph {
     /// `&VersionedGraph` borrow (e.g. a live cached-query handle) can
     /// outlive the swap.
     pub fn replace(&mut self, graph: DiGraph) -> GraphVersion {
-        self.retire_current();
         self.compact_threshold = Self::default_compact_threshold(&graph);
         self.graph = graph;
+        self.restamp()
+    }
+
+    /// Declares the current graph a new snapshot without touching it:
+    /// retires the old stamp, which orphans every cache entry keyed by it,
+    /// and draws a fresh one. `update(|g| g.clone())` minus the copy, so
+    /// O(1); the per-snapshot delta sequence restarts at 0. The fallback
+    /// when a delta batch's scoped purge cannot complete.
+    pub fn restamp(&mut self) -> GraphVersion {
+        self.retire_current();
         self.version = fresh_version();
         self.delta_seq = 0;
         self.version
@@ -282,6 +292,24 @@ mod tests {
         let v2 = vg.update(|g| g.clone());
         assert!(v2 > v1);
         assert_eq!(vg.retired(), &[v0, v1]);
+    }
+
+    #[test]
+    fn restamp_retires_the_version_and_keeps_the_graph() {
+        let mut vg = VersionedGraph::from_edges(3, [(0, 1), (1, 2)]);
+        vg.apply_delta(&[EdgeDelta::add(0, 2)]).unwrap();
+        let v0 = vg.version();
+        let v1 = vg.restamp();
+        assert!(v1 > v0);
+        assert_eq!(vg.version(), v1);
+        assert_eq!(vg.retired(), &[v0]);
+        assert_eq!(vg.delta_seq(), 0);
+        assert_eq!(
+            vg.edge_count(),
+            3,
+            "the graph, overlay included, is untouched"
+        );
+        assert!(vg.has_edge(0, 2));
     }
 
     #[test]

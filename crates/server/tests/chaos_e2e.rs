@@ -10,6 +10,11 @@
 //! * **No corrupted neighbour slot** — every `ok` response must still be
 //!   bit-identical to a local [`Eve::query`], even while a neighbouring
 //!   query in the same micro-batch is panicking or being cancelled.
+//! * **Updates never leave stale answers reachable** — each storm ends with
+//!   an add/remove pair of one absent edge against the stormed cache; under
+//!   `update_purge` both scoped purges fail, the server restamps the graph
+//!   instead, and the post-chaos answer must still match the (restored)
+//!   graph bit for bit.
 //! * **Recovery** — the injected faults carry hit budgets, and once they
 //!   disarm the server answers a fresh query correctly (CI greps the
 //!   markers this suite prints on success).
@@ -170,7 +175,6 @@ fn every_request_is_answered_under_faults_at_every_site() {
             });
         }
     }
-    let expected = Arc::new(expected);
 
     // One storm per fault spec: every site fires, each a bounded number of
     // times so the run can prove recovery afterwards.
@@ -182,7 +186,28 @@ fn every_request_is_answered_under_faults_at_every_site() {
         "phase1b=budget*3",
         "phase2=panic*3",
         "verify=delay:30*3",
+        "update_purge=panic*2",
     ];
+    // An edge the test graph lacks: the update storm adds it and removes it
+    // again, so the post-chaos answer is the original graph's.
+    let absent = (0..60u32)
+        .flat_map(|u| (0..60u32).map(move |v| (u, v)))
+        .find(|&(u, v)| u != v && !graph.has_edge(u, v))
+        .expect("a sparse graph has an absent edge");
+    // The stormed keys' answers while that edge is present.
+    let grown = DiGraph::from_edges(60, graph.edges().chain([absent]));
+    let grown_eve = Eve::new(&grown, EveConfig::default());
+    let with_absent: Oracle = expected
+        .keys()
+        .map(|&(s, t, k)| {
+            let answer = grown_eve
+                .query(Query::new(s, t, k))
+                .map(|spg| spg.edges().to_vec())
+                .map_err(|e| e.to_string());
+            ((s, t, k), answer)
+        })
+        .collect();
+    let expected = Arc::new(expected);
     for spec in specs {
         let server = ServerProcess::spawn(spec);
         let workers: Vec<_> = (0..THREADS)
@@ -207,6 +232,35 @@ fn every_request_is_answered_under_faults_at_every_site() {
         for worker in workers {
             worker.join().expect("storm thread");
         }
+        // Updates against the stormed cache: every purge the spec breaks
+        // must restamp instead of leaving stale answers reachable, and the
+        // deltas still apply. While the edge is present, every stormed key
+        // must answer for the grown graph, never from a stale entry.
+        let mut client = server.connect();
+        let applied = |reply: &Reply| {
+            assert_eq!(reply.status, "ok", "updates apply under {spec:?}");
+            let applied = reply.raw.get("applied").and_then(|a| a.as_u64());
+            assert_eq!(applied, Some(1), "the delta applied under {spec:?}");
+        };
+        applied(
+            &client
+                .update(9997, &[absent], &[])
+                .expect("add under chaos"),
+        );
+        for (i, &key) in with_absent.keys().enumerate() {
+            let id = 20_000 + i as u64;
+            let (s, t, k) = key;
+            client
+                .send_query_with(id, s, t, k, None, None)
+                .expect("send");
+            let reply = client.recv().expect("requery after the update");
+            assert_uncorrupted(&reply, id, &with_absent, key);
+        }
+        applied(
+            &client
+                .update(9998, &[], &[absent])
+                .expect("remove under chaos"),
+        );
 
         // The hit budgets are long spent: a fresh, never-stormed query must
         // now compute cleanly and bit-identically.

@@ -11,13 +11,25 @@
 //!    longer trace);
 //! 3. **Version invalidation** — after a [`VersionedGraph`] bump, entries of
 //!    the old snapshot are unreachable and the recomputed answers reflect
-//!    the new graph.
+//!    the new graph;
+//! 4. **Scoped purge** — over random multi-version caches (witness-less
+//!    entries, refreshed keys, slots reused after eviction or purge, tiny
+//!    budgets) and random add/remove batches, `purge_scoped` removes exactly
+//!    the resident entries [`InvalidationScope::affects`] selects over each
+//!    entry's full witness, and `max_resident_k` always equals the
+//!    brute-force maximum (proptest over random operation scripts).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use hop_spg::eve::{cache::entry_cost, CachedEve, Eve, EveStats, Query, SimplePathGraph, SpgCache};
-use hop_spg::graph::{DiGraph, EdgeSubgraph, VersionedGraph};
+use std::collections::BTreeMap;
+
+use hop_spg::eve::{
+    cache::entry_cost, CachedEve, Eve, EveStats, InvalidationScope, Query, SimplePathGraph,
+    SpgCache,
+};
+use hop_spg::graph::generators::gnm_random;
+use hop_spg::graph::{DiGraph, EdgeDelta, EdgeSubgraph, VersionedGraph};
 
 /// A synthetic answer with `edges` edges, for deterministic cost scripting.
 fn answer(tag: u32, edges: usize) -> SimplePathGraph {
@@ -204,4 +216,189 @@ fn version_bump_makes_old_entries_unreachable() {
     assert_eq!(cache.len(), 1);
     let served = cached.query(q).unwrap();
     assert_eq!(served.edges(), recomputed.edges());
+}
+
+/// Vertex universe of the scoped-purge model. Witnesses of up to 160 of
+/// these vertices set most bits of a row's witness signature, so many
+/// removed edges outside a witness still pass the signature test (vertices
+/// that share signature bits) and the exact witness search must reject
+/// them.
+const PURGE_VERTICES: u32 = 512;
+
+/// Deterministic xorshift stream expanding one scripted op's seed.
+struct Stream(u64);
+
+impl Stream {
+    fn new(seed: u64) -> Self {
+        Stream(seed | 1)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+
+    fn vertex(&mut self) -> u32 {
+        self.below(u64::from(PURGE_VERTICES)) as u32
+    }
+}
+
+/// `(version, s, t, k)`.
+type PurgeKey = (u64, u32, u32, u32);
+
+/// Every resident key with the witness it serves, probed through `get`.
+fn resident(
+    cache: &SpgCache,
+    model: &BTreeMap<PurgeKey, Option<Vec<u32>>>,
+) -> Result<BTreeMap<PurgeKey, Option<Vec<u32>>>, String> {
+    let mut out = BTreeMap::new();
+    for (&(version, s, t, k), witness) in model {
+        if let Some(hit) = cache.get(version, Query::new(s, t, k)) {
+            prop_assert_eq!(hit.witness(), witness.as_deref());
+            prop_assert_eq!(hit.query(), Query::new(s, t, k));
+            out.insert((version, s, t, k), witness.clone());
+        }
+    }
+    Ok(out)
+}
+
+/// Runs one scripted scoped-purge case; see property 4 of the module docs.
+fn scoped_purge_script(
+    ops: &[(u8, u64)],
+    budget: usize,
+    shards: usize,
+    graph_seed: u64,
+) -> Result<(), String> {
+    let graph = gnm_random(PURGE_VERTICES as usize, 1200, graph_seed);
+    let cache = SpgCache::with_shards(budget, shards);
+    // The newest accepted value of every key ever published.
+    let mut model: BTreeMap<PurgeKey, Option<Vec<u32>>> = BTreeMap::new();
+    for (step, &(kind, seed)) in ops.iter().enumerate() {
+        let mut rng = Stream::new(seed);
+        let version = 1 + rng.below(3);
+        match kind {
+            // Publish (or refresh) a key from a small pool so refreshes and
+            // slot reuse are common; every fifth entry is witness-less.
+            0..=5 => {
+                let (s, t, k) = (
+                    rng.below(12) as u32,
+                    12 + rng.below(12) as u32,
+                    1 + rng.below(7) as u32,
+                );
+                let size = [2, 12, 40, 160][rng.below(4) as usize];
+                let witness = (rng.below(5) != 0).then(|| {
+                    let mut w: Vec<u32> = (0..size).map(|_| rng.vertex()).collect();
+                    w.extend([s, t]);
+                    w.sort_unstable();
+                    w.dedup();
+                    w
+                });
+                let edges: Vec<(u32, u32)> = (0..rng.below(8)).map(|i| (s, i as u32)).collect();
+                let mut answer = SimplePathGraph::from_parts(
+                    Query::new(s, t, k),
+                    EdgeSubgraph::from_edges(edges),
+                    EveStats::default(),
+                );
+                if let Some(w) = &witness {
+                    answer = answer.with_witness(w);
+                }
+                let rejected = cache.stats().oversize_rejections;
+                cache.insert(version, Query::new(s, t, k), &answer);
+                if cache.stats().oversize_rejections == rejected {
+                    model.insert((version, s, t, k), witness);
+                }
+            }
+            // A random add/remove batch against one version.
+            6..=8 => {
+                let before = resident(&cache, &model)?;
+                let mut deltas = Vec::new();
+                for _ in 0..1 + rng.below(3) {
+                    let (u, v) = (rng.vertex(), rng.vertex());
+                    // Some removals come from a resident witness, so true
+                    // positives are exercised, not only misses.
+                    let (u, v) = match before.values().flatten().nth(rng.below(8) as usize) {
+                        Some(w) if rng.below(2) == 0 => (
+                            w[rng.below(w.len() as u64) as usize],
+                            w[rng.below(w.len() as u64) as usize],
+                        ),
+                        _ => (u, v),
+                    };
+                    deltas.push(if rng.below(3) == 0 {
+                        EdgeDelta::add(u, v)
+                    } else {
+                        EdgeDelta::remove(u, v)
+                    });
+                }
+                let scope =
+                    InvalidationScope::build(&graph, &deltas, cache.max_resident_k(version));
+                let expected: Vec<PurgeKey> = before
+                    .iter()
+                    .filter(|(&(v, s, t, k), w)| {
+                        v == version && scope.affects(s, t, k, w.as_deref())
+                    })
+                    .map(|(&key, _)| key)
+                    .collect();
+                let purged = cache.purge_scoped(version, &scope);
+                prop_assert!(
+                    purged == expected.len(),
+                    "step {step}: purged {purged}, affects selects {expected:?} for {deltas:?}"
+                );
+                let after = resident(&cache, &model)?;
+                for key in before.keys() {
+                    prop_assert_eq!(after.contains_key(key), !expected.contains(key));
+                }
+            }
+            // Reclaim every version but one.
+            _ => {
+                let before = resident(&cache, &model)?;
+                let purged = cache.purge_other_versions(version);
+                let expected = before.keys().filter(|key| key.0 != version).count();
+                prop_assert_eq!(purged, expected);
+            }
+        }
+        let now = resident(&cache, &model)?;
+        prop_assert_eq!(now.len(), cache.len());
+        prop_assert!(cache.bytes() <= budget);
+        for v in 1..=3 {
+            let brute = now.keys().filter(|key| key.0 == v).map(|key| key.3).max();
+            prop_assert_eq!(cache.max_resident_k(v), brute.unwrap_or(0));
+        }
+    }
+    Ok(())
+}
+
+/// Budgets from a few entries per shard (constant eviction and slot reuse)
+/// to ample.
+fn purge_budget() -> impl Strategy<Value = usize> {
+    (0usize..4).prop_map(|class| [2 << 10, 6 << 10, 24 << 10, 1 << 20][class])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Property 4: the row-streaming purge removes exactly what `affects`
+    /// selects, and the `k` tallies stay exact.
+    #[test]
+    fn scoped_purge_matches_affects_over_random_caches(
+        ops in vec((0u8..10, 0u64..u64::MAX), 1..80),
+        budget in purge_budget(),
+        shards in 1usize..5,
+        graph_seed in 0u64..1_000,
+    ) {
+        scoped_purge_script(&ops, budget, shards, graph_seed)?;
+    }
+
+    /// Heavier variant for the CI `--ignored` job: longer scripts, more cases.
+    #[test]
+    #[ignore = "heavy purge sweep; run via cargo test --release -- --ignored"]
+    fn heavy_scoped_purge_sweep(
+        ops in vec((0u8..10, 0u64..u64::MAX), 100..400),
+        budget in purge_budget(),
+        shards in 1usize..9,
+        graph_seed in 0u64..1_000,
+    ) {
+        scoped_purge_script(&ops, budget, shards, graph_seed)?;
+    }
 }
