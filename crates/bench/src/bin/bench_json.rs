@@ -26,9 +26,10 @@
 //!   suite's uniform batch (low endpoint reuse) and a fraud-ring
 //!   shared-endpoint batch (few sources × few targets — the dedup target):
 //!   whole-batch and Phase-1-only wall time, cohort fill, distinct-endpoint
-//!   dedup ratio and the top-down/bottom-up scan split (the PR-5
-//!   trajectory). Every shared run is verified slot-for-slot against the
-//!   per-query answers before timing is recorded;
+//!   dedup ratio, the shared run's top-down/bottom-up scan split and the
+//!   per-query run's edge scans. Every shared run is verified
+//!   slot-for-slot against the per-query answers before timing is
+//!   recorded;
 //! * **lane_width** — the wide-lane MS-BFS engine at both cohort lane
 //!   widths (64 and 256 pairs per traversal), single worker, over a
 //!   dedicated shared-endpoint batch (64 sources × 4 targets at k = 6 on a
@@ -366,6 +367,9 @@ struct Phase1Bench {
     dedup_ratio: f64,
     top_down_scans: usize,
     bottom_up_scans: usize,
+    /// Forward plus backward edge scans of the per-query run's distance
+    /// searches, summed over its slots.
+    per_query_scans: usize,
 }
 
 /// Sum of the distance-phase timings recorded in a run's answer slots (ns).
@@ -377,6 +381,19 @@ fn slot_distance_ns(results: &[spg_core::BatchResult]) -> u64 {
         .iter()
         .filter_map(|slot| slot.as_ref().ok())
         .map(|spg| spg.stats().timings.distance.as_nanos() as u64)
+        .sum()
+}
+
+/// Forward plus backward edge scans of the per-query distance searches
+/// recorded in a run's answer slots.
+fn slot_edge_scans(results: &[spg_core::BatchResult]) -> usize {
+    results
+        .iter()
+        .filter_map(|slot| slot.as_ref().ok())
+        .map(|spg| {
+            let scans = spg.stats().search_space;
+            scans.forward_edge_scans + scans.backward_edge_scans
+        })
         .sum()
 }
 
@@ -405,12 +422,14 @@ fn phase1_bench(
 
     let mut pq_batch = Vec::with_capacity(repeats);
     let mut pq_phase1 = Vec::with_capacity(repeats);
+    let mut per_query_scans = 0;
     for _ in 0..repeats {
         let start = Instant::now();
         let outcome = per_query.run_detailed(eve, batch);
         pq_batch.push(start.elapsed().as_nanos() as u64);
         pq_phase1.push(slot_distance_ns(&outcome.results));
         verify(&outcome.results, &expected, 1);
+        per_query_scans = slot_edge_scans(&outcome.results);
     }
 
     let mut sh_batch = Vec::with_capacity(repeats);
@@ -453,6 +472,7 @@ fn phase1_bench(
         top_down_scans: last_stats.traversal.forward_edge_scans
             + last_stats.traversal.backward_edge_scans,
         bottom_up_scans: last_stats.traversal.bottom_up_edge_scans,
+        per_query_scans,
     }
 }
 
@@ -1102,6 +1122,7 @@ fn render_json(results: &[SuiteResult]) -> String {
                     "          \"cohort_fill\": {:.3},\n",
                     "          \"dedup_ratio\": {:.2},\n",
                     "          \"top_down_edge_scans\": {},\n",
+                    "          \"per_query_edge_scans\": {},\n",
                     "          \"bottom_up_edge_scans\": {}\n",
                     "        }}{}\n",
                 ),
@@ -1119,6 +1140,7 @@ fn render_json(results: &[SuiteResult]) -> String {
                 p.cohort_fill,
                 p.dedup_ratio,
                 p.top_down_scans,
+                p.per_query_scans,
                 p.bottom_up_scans,
                 if j + 1 < r.phase1_sharing.len() {
                     ","
@@ -1304,7 +1326,7 @@ fn main() {
         );
         for p in &r.phase1_sharing {
             eprintln!(
-                "{}: phase1[{}] per-query {} ns -> shared {} ns ({:.2}x phase-1, {:.2}x batch), {} cohorts, {} lanes for {} queries (dedup {:.2}x, fill {:.0}%), scans {} top-down / {} bottom-up",
+                "{}: phase1[{}] per-query {} ns -> shared {} ns ({:.2}x phase-1, {:.2}x batch), {} cohorts, {} lanes for {} queries (dedup {:.2}x, fill {:.0}%), scans {} top-down / {} bottom-up shared vs {} per-query",
                 r.name,
                 p.batch,
                 p.per_query_phase1_ns,
@@ -1318,6 +1340,7 @@ fn main() {
                 100.0 * p.cohort_fill,
                 p.top_down_scans,
                 p.bottom_up_scans,
+                p.per_query_scans,
             );
         }
         for l in &r.lane_width {

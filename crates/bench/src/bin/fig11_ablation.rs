@@ -7,6 +7,11 @@
 //! * + adaptive bidirectional search,
 //! * full EVE (adaptive + pruning + search ordering).
 //!
+//! The "+adaptive" column includes the adaptive strategy's in-space finish:
+//! once the frontiers meet, each side expands only vertices the other side
+//! already places in `G^k_st`. The "+bidirectional" column keeps the
+//! balanced schedule's unpruned finish.
+//!
 //! The ablation runs on the hash-map *reference* pipeline
 //! (`Eve::query_reference`): the workspace pipeline propagates over the
 //! compacted `G^k_st` CSR, whose space restriction structurally subsumes

@@ -12,6 +12,12 @@
 //! The strategies differ only in the number of vertices and edges they touch
 //! while computing the index, which is what the Figure 11 ablation measures;
 //! [`SearchSpaceStats`] records those counts.
+//!
+//! Both bidirectional strategies finish each side inside the region the
+//! other side explored. The adaptive one also confines that finish to the
+//! search space: it expands a vertex at depth `d` only once the other side
+//! holds it within `k − d`. The balanced one keeps the unpruned finish,
+//! which each lane of the shared MS-BFS engine reproduces.
 
 use crate::csr::{DiGraph, Direction, VertexId};
 use crate::hash::{map_with_capacity, FxHashMap};
@@ -28,8 +34,10 @@ pub enum DistanceStrategy {
     Bidirectional,
     /// Adaptive bidirectional BFS: at every step the side with the smaller
     /// frontier advances, until the combined depth reaches `k`; each side
-    /// then finishes inside the other's explored region. This is the default
-    /// used by EVE.
+    /// then finishes inside the other's explored region, expanding only
+    /// vertices the other side already proves to lie in the search space
+    /// (held at depth `d` by one side and within `k − d` by the other).
+    /// This is the default used by EVE.
     #[default]
     AdaptiveBidirectional,
 }
@@ -78,6 +86,21 @@ impl SearchSpaceStats {
     }
 }
 
+/// Which vertices one level of [`LevelBfs`] may touch; mirrors the flat
+/// engine's gate so both engines keep identical traversals.
+#[derive(Clone, Copy)]
+enum Gate<'m> {
+    /// A free level: every frontier vertex expands into every unseen
+    /// neighbour.
+    Open,
+    /// Discover only vertices the other side's map holds (the balanced
+    /// finish).
+    Inside(&'m FxHashMap<VertexId, u32>),
+    /// As `Inside`, and expand a frontier vertex at depth `d` only if that
+    /// map holds it within `k − d`, the second field (the adaptive finish).
+    InSpace(&'m FxHashMap<VertexId, u32>, u32),
+}
+
 /// Level-synchronous hop-bounded BFS engine used by all strategies.
 struct LevelBfs<'a> {
     g: &'a DiGraph,
@@ -114,11 +137,10 @@ impl<'a> LevelBfs<'a> {
         self.frontier.is_empty()
     }
 
-    /// Expands one BFS level. When `allowed` is provided, only vertices
-    /// already present in that map may be newly discovered (the restricted
-    /// "finish inside the other side's region" phase of bidirectional
-    /// search). Returns `false` once the frontier is empty.
-    fn step(&mut self, allowed: Option<&FxHashMap<VertexId, u32>>) -> bool {
+    /// Expands one BFS level under `gate` (the "finish inside the other
+    /// side's region" phases of bidirectional search restrict it). Returns
+    /// `false` once the frontier is empty.
+    fn step(&mut self, gate: Gate<'_>) -> bool {
         if self.frontier.is_empty() {
             return false;
         }
@@ -128,13 +150,19 @@ impl<'a> LevelBfs<'a> {
             if u == self.forbidden && u != self.source {
                 continue;
             }
+            if let Gate::InSpace(other, k) = gate {
+                match other.get(&u) {
+                    Some(&rest) if self.depth + rest <= k => {}
+                    _ => continue,
+                }
+            }
             for &v in self.g.neighbors(u, self.dir) {
                 self.edge_scans += 1;
                 if self.dist.contains_key(&v) {
                     continue;
                 }
-                if let Some(allowed) = allowed {
-                    if !allowed.contains_key(&v) {
+                if let Gate::Inside(other) | Gate::InSpace(other, _) = gate {
+                    if !other.contains_key(&v) {
                         continue;
                     }
                 }
@@ -148,9 +176,9 @@ impl<'a> LevelBfs<'a> {
     }
 
     /// Runs `steps` additional levels (or until the frontier empties).
-    fn run(&mut self, steps: u32, allowed: Option<&FxHashMap<VertexId, u32>>) {
+    fn run(&mut self, steps: u32, gate: Gate<'_>) {
         for _ in 0..steps {
-            if !self.step(allowed) {
+            if !self.step(gate) {
                 break;
             }
         }
@@ -187,18 +215,18 @@ impl DistanceIndex {
 
         match strategy {
             DistanceStrategy::Single => {
-                forward.run(k, None);
-                backward.run(k, None);
+                forward.run(k, Gate::Open);
+                backward.run(k, Gate::Open);
             }
             DistanceStrategy::Bidirectional => {
                 let kf = k.div_ceil(2);
                 let kb = k / 2;
-                forward.run(kf, None);
-                backward.run(kb, None);
+                forward.run(kf, Gate::Open);
+                backward.run(kb, Gate::Open);
                 let backward_snapshot = backward.dist.clone();
-                forward.run(k - kf, Some(&backward_snapshot));
+                forward.run(k - kf, Gate::Inside(&backward_snapshot));
                 let forward_snapshot = forward.dist.clone();
-                backward.run(k - kb, Some(&forward_snapshot));
+                backward.run(k - kb, Gate::Inside(&forward_snapshot));
             }
             DistanceStrategy::AdaptiveBidirectional => {
                 // Advance the smaller frontier until the combined depth is k
@@ -214,15 +242,15 @@ impl DistanceIndex {
                         forward.frontier_len() <= backward.frontier_len()
                     };
                     if advance_forward {
-                        forward.step(None);
+                        forward.step(Gate::Open);
                     } else {
-                        backward.step(None);
+                        backward.step(Gate::Open);
                     }
                 }
                 let backward_snapshot = backward.dist.clone();
-                forward.run(k - forward.depth, Some(&backward_snapshot));
+                forward.run(k - forward.depth, Gate::InSpace(&backward_snapshot, k));
                 let forward_snapshot = forward.dist.clone();
-                backward.run(k - backward.depth, Some(&forward_snapshot));
+                backward.run(k - backward.depth, Gate::InSpace(&forward_snapshot, k));
             }
         }
 

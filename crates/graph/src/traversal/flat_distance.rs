@@ -15,11 +15,36 @@
 //! other side's whole distance map as a snapshot; here no snapshot is needed
 //! because a side's restricted expansion only consults the *other* side's
 //! entries, which that side's own expansion never mutates mid-run.
+//!
+//! Under [`DistanceStrategy::AdaptiveBidirectional`] the finish is also
+//! confined to the search space: a frontier vertex is expanded only once the
+//! other side holds it within the rest of the budget (see `Gate::InSpace`).
+//! The search-space accessors are unchanged by this; raw distances of
+//! vertices outside the space may be larger than the true ones, or absent.
 
 use crate::budget::{BudgetExhausted, QueryBudget};
 use crate::csr::{DiGraph, Direction, VertexId};
 use crate::traversal::{DistanceStrategy, SearchSpaceStats};
 use crate::INF_DIST;
+
+/// Which vertices one BFS level may touch (see [`FlatDistances::step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// A free level: every frontier vertex expands into every unseen
+    /// neighbour.
+    Open,
+    /// Discover only vertices the other side already holds: the balanced
+    /// schedule's finish, which each MS-BFS lane reproduces.
+    Inside,
+    /// As `Inside`, and expand a frontier vertex at depth `d` only if the
+    /// other side holds it within `k − d`, i.e. only vertices already proven
+    /// in `G^k_st`: the adaptive schedule's finish. Exact, because every
+    /// vertex on a shortest endpoint-avoiding path to a search-space vertex
+    /// is itself in the space, and once the free phases have met (or a side
+    /// has run out), the other side already holds every in-space vertex this
+    /// side can still expand, at its true distance.
+    InSpace,
+}
 
 /// One direction of epoch-stamped BFS state.
 #[derive(Debug, Clone, Default)]
@@ -141,16 +166,16 @@ impl FlatDistances {
 
         match strategy {
             DistanceStrategy::Single => {
-                self.run_side(g, Direction::Forward, k, false, budget)?;
-                self.run_side(g, Direction::Backward, k, false, budget)?;
+                self.run_side(g, Direction::Forward, k, Gate::Open, budget)?;
+                self.run_side(g, Direction::Backward, k, Gate::Open, budget)?;
             }
             DistanceStrategy::Bidirectional => {
                 let kf = k.div_ceil(2);
                 let kb = k / 2;
-                self.run_side(g, Direction::Forward, kf, false, budget)?;
-                self.run_side(g, Direction::Backward, kb, false, budget)?;
-                self.run_side(g, Direction::Forward, k - kf, true, budget)?;
-                self.run_side(g, Direction::Backward, k - kb, true, budget)?;
+                self.run_side(g, Direction::Forward, kf, Gate::Open, budget)?;
+                self.run_side(g, Direction::Backward, kb, Gate::Open, budget)?;
+                self.run_side(g, Direction::Forward, k - kf, Gate::Inside, budget)?;
+                self.run_side(g, Direction::Backward, k - kb, Gate::Inside, budget)?;
             }
             DistanceStrategy::AdaptiveBidirectional => {
                 while self.fwd.depth + self.bwd.depth < k
@@ -169,13 +194,13 @@ impl FlatDistances {
                         Direction::Backward
                     };
                     let before = self.scans(dir);
-                    self.step(g, dir, false);
+                    self.step(g, dir, Gate::Open);
                     budget.charge((self.scans(dir) - before) as u64)?;
                 }
                 let fd = self.fwd.depth;
                 let bd = self.bwd.depth;
-                self.run_side(g, Direction::Forward, k - fd, true, budget)?;
-                self.run_side(g, Direction::Backward, k - bd, true, budget)?;
+                self.run_side(g, Direction::Forward, k - fd, Gate::InSpace, budget)?;
+                self.run_side(g, Direction::Backward, k - bd, Gate::InSpace, budget)?;
             }
         }
         Ok(())
@@ -255,12 +280,12 @@ impl FlatDistances {
         g: &DiGraph,
         dir: Direction,
         steps: u32,
-        restricted: bool,
+        gate: Gate,
         budget: &QueryBudget,
     ) -> Result<(), BudgetExhausted> {
         for _ in 0..steps {
             let before = self.scans(dir);
-            let advanced = self.step(g, dir, restricted);
+            let advanced = self.step(g, dir, gate);
             budget.charge((self.scans(dir) - before) as u64)?;
             if !advanced {
                 break;
@@ -269,12 +294,12 @@ impl FlatDistances {
         Ok(())
     }
 
-    /// Expands one BFS level of one side. When `restricted`, only vertices
-    /// already discovered by the *other* side may be newly discovered (the
-    /// "finish inside the other side's region" phase of bidirectional
-    /// search). Returns `false` once the frontier is empty.
-    fn step(&mut self, g: &DiGraph, dir: Direction, restricted: bool) -> bool {
+    /// Expands one BFS level of one side under `gate` (the "finish inside
+    /// the other side's region" phases of bidirectional search restrict it).
+    /// Returns `false` once the frontier is empty.
+    fn step(&mut self, g: &DiGraph, dir: Direction, gate: Gate) -> bool {
         let epoch = self.epoch;
+        let k = self.k;
         let (side, other, source, forbidden) = match dir {
             Direction::Forward => (&mut self.fwd, &self.bwd, self.s, self.t),
             Direction::Backward => (&mut self.bwd, &self.fwd, self.t, self.s),
@@ -288,12 +313,18 @@ impl FlatDistances {
             if u == forbidden && u != source {
                 continue;
             }
+            if gate == Gate::InSpace {
+                let rest = other.dist(u, epoch);
+                if rest == INF_DIST || side.depth + rest > k {
+                    continue;
+                }
+            }
             for &v in g.neighbors(u, dir) {
                 side.edge_scans += 1;
                 if side.slots[v as usize].0 == epoch {
                     continue;
                 }
-                if restricted && !other.contains(v, epoch) {
+                if gate != Gate::Open && !other.contains(v, epoch) {
                     continue;
                 }
                 side.slots[v as usize] = (epoch, side.depth + 1);
@@ -325,13 +356,17 @@ impl FlatDistances {
     }
 
     /// Raw forward distance `Δ(s, v)` (before search-space filtering), or
-    /// [`INF_DIST`] if the forward search never reached `v`.
+    /// [`INF_DIST`] if the forward search never reached `v`. Under
+    /// [`DistanceStrategy::AdaptiveBidirectional`] it is exact inside the
+    /// search space; outside it, it is an upper bound or [`INF_DIST`].
     #[inline]
     pub fn raw_dist_from_s(&self, v: VertexId) -> u32 {
         self.fwd.dist(v, self.epoch)
     }
 
-    /// Raw backward distance `Δ(v, t)`, or [`INF_DIST`] if unreached.
+    /// Raw backward distance `Δ(v, t)`, or [`INF_DIST`] if unreached. Under
+    /// [`DistanceStrategy::AdaptiveBidirectional`] it is exact inside the
+    /// search space; outside it, it is an upper bound or [`INF_DIST`].
     #[inline]
     pub fn raw_dist_to_t(&self, v: VertexId) -> u32 {
         self.bwd.dist(v, self.epoch)
@@ -379,7 +414,10 @@ impl FlatDistances {
     }
 
     /// Vertices the forward search discovered (a superset of the search
-    /// space; filter with [`FlatDistances::in_search_space`]).
+    /// space; filter with [`FlatDistances::in_search_space`]). Under
+    /// [`DistanceStrategy::AdaptiveBidirectional`] it holds every vertex of
+    /// the space, but which vertices outside the space it holds depends on
+    /// the schedule, not only on the graph.
     #[inline]
     pub fn forward_seen(&self) -> &[VertexId] {
         &self.fwd.seen
@@ -418,7 +456,7 @@ impl FlatDistances {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::DistanceIndex;
+    use crate::traversal::{DistanceIndex, SearchSpace, SpaceScratch};
 
     /// Figure 1(a) graph; naming s=0, a=1, c=2, t=3, h=4, b=5, i=6, j=7.
     fn figure1() -> DiGraph {
@@ -501,6 +539,121 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Checks the adaptive strategy's in-space finish against `Single`, an
+    /// independent path: two unrestricted full-depth passes. Feasibility and
+    /// every vertex's in-space distances must agree, and so must the
+    /// compacted [`SearchSpace`], vertex for vertex and edge for edge.
+    #[derive(Default)]
+    struct AgainstSingle {
+        adaptive: FlatDistances,
+        single: FlatDistances,
+        spaces: [SearchSpace; 2],
+        scratch: SpaceScratch,
+        cases: usize,
+    }
+
+    impl AgainstSingle {
+        fn check(&mut self, g: &DiGraph, s: VertexId, t: VertexId, k: u32) {
+            let (adaptive, single) = (&mut self.adaptive, &mut self.single);
+            adaptive.compute(g, s, t, k, DistanceStrategy::AdaptiveBidirectional);
+            single.compute(g, s, t, k, DistanceStrategy::Single);
+            assert_eq!(
+                adaptive.is_feasible(),
+                single.is_feasible(),
+                "s={s} t={t} k={k}"
+            );
+            for v in g.vertices() {
+                assert_eq!(
+                    adaptive.dist_from_s(v),
+                    single.dist_from_s(v),
+                    "s={s} t={t} k={k} v={v}"
+                );
+                assert_eq!(
+                    adaptive.dist_to_t(v),
+                    single.dist_to_t(v),
+                    "s={s} t={t} k={k} v={v}"
+                );
+            }
+            let [a, b] = &mut self.spaces;
+            a.rebuild_from_flat(g, adaptive, &mut self.scratch);
+            b.rebuild_from_flat(g, single, &mut self.scratch);
+            assert_eq!(a.vertices(), b.vertices(), "s={s} t={t} k={k}");
+            for l in 0..a.vertex_count() as u32 {
+                assert_eq!(a.out_neighbors(l), b.out_neighbors(l), "s={s} t={t} k={k}");
+                assert_eq!(a.in_neighbors(l), b.in_neighbors(l), "s={s} t={t} k={k}");
+            }
+            self.cases += 1;
+        }
+
+        /// Every ordered `(s, t)` pair of `g` at every hop bound in `ks`.
+        fn check_all_pairs(&mut self, g: &DiGraph, ks: impl IntoIterator<Item = u32> + Clone) {
+            for s in g.vertices() {
+                for t in g.vertices().filter(|&t| t != s) {
+                    for k in ks.clone() {
+                        self.check(g, s, t, k);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Shapes where one side runs out before the depths meet.
+    fn lopsided_shapes() -> Vec<DiGraph> {
+        let mut shapes = vec![
+            // s = 0's only out-edge goes to t = 1; the rest hangs off t and
+            // loops back into s.
+            DiGraph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 1), (5, 4), (3, 5)]),
+            // t = 3 is reachable only through s = 0 (via 4); the rest of the
+            // graph loops back into s.
+            DiGraph::from_edges(7, [(1, 0), (2, 1), (0, 4), (4, 3), (3, 5), (5, 2), (6, 2)]),
+            // Disconnected halves: s = 0 in one, t = 4 in the other.
+            DiGraph::from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 5)]),
+        ];
+        // A wide fan out of s = 0 and a chain s → 1 → 2 → 3 → t = 4: the
+        // backward side exhausts at s while the forward frontier is wide.
+        let mut broom = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
+        broom.extend((5..24).map(|leaf| (0, leaf)));
+        broom.extend((5..23).map(|leaf| (leaf, leaf + 1)));
+        shapes.push(DiGraph::from_edges(24, broom));
+        shapes
+    }
+
+    /// Random graphs with `n` from 4 to 16 and one to three edges per
+    /// vertex, seeded `0..graphs`.
+    fn small_random_graphs(graphs: u64) -> impl Iterator<Item = DiGraph> {
+        (0..graphs).map(|seed| {
+            let n = 4 + (seed % 13) as usize;
+            crate::generators::gnm_random(n, n * (1 + seed as usize % 3), 0xADA7 + seed)
+        })
+    }
+
+    #[test]
+    fn adaptive_in_space_finish_matches_single() {
+        let mut oracle = AgainstSingle::default();
+        for g in lopsided_shapes() {
+            let n = g.vertex_count() as u32;
+            oracle.check_all_pairs(&g, 1..=n + 1);
+        }
+        for g in small_random_graphs(40) {
+            let n = g.vertex_count() as u32;
+            oracle.check_all_pairs(&g, [1, 2, n - 1, n + 1]);
+        }
+        assert!(oracle.cases > 10_000, "{} cases", oracle.cases);
+    }
+
+    /// The full sweep: 400 random graphs, every pair, every `k` in
+    /// `1..=n + 1`.
+    #[test]
+    #[ignore = "full sweep; run with --ignored"]
+    fn adaptive_in_space_finish_matches_single_full_sweep() {
+        let mut oracle = AgainstSingle::default();
+        for g in small_random_graphs(400) {
+            let n = g.vertex_count() as u32;
+            oracle.check_all_pairs(&g, 1..=n + 1);
+        }
+        assert!(oracle.cases > 500_000, "{} cases", oracle.cases);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use hop_spg::graph::{DiGraph, DistanceStrategy};
 
 /// Strategy: a small random digraph plus a query on it.
 fn graph_and_query() -> impl Strategy<Value = (DiGraph, Query)> {
-    (4usize..14, 2u32..8).prop_flat_map(|(n, k)| {
+    (4usize..14, 1u32..10).prop_flat_map(|(n, k)| {
         let edges = vec((0..n as u32, 0..n as u32), 0..(3 * n));
         (edges, 0..n as u32, 0..n as u32).prop_filter_map(
             "source must differ from target",
