@@ -17,7 +17,9 @@
 //!    `deadline` elapses, whichever is first. Under a backlog the deadline
 //!    is never paid (the batch fills instantly); under a trickle it bounds
 //!    the worst-case queueing delay a request can suffer for the benefit of
-//!    batch-sharing (`deadline = 0` dispatches immediately).
+//!    batch-sharing. `deadline = 0`, the server's default, has no window:
+//!    the batch is whatever is queued when the consumer asks, up to
+//!    `batch_max`, and what arrives during a drain forms the next batch.
 //!
 //! When a backlog forces a batch to leave items behind, the drain is
 //! **earliest-deadline-first**, not FIFO: items whose own deadline expires

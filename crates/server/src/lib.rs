@@ -11,15 +11,16 @@
 //!   full edge list and exact [`spg_core::QueryError`] strings, so clients
 //!   can hold the server to bit-identity with [`spg_core::Eve::query`].
 //! * **[`admission`]** — per-tenant token buckets and a bounded queue
-//!   drained in deadline-bounded micro-batches. Overload produces explicit
-//!   `overloaded` responses, never an unbounded queue.
+//!   drained in micro-batches (by default whatever is queued, with no
+//!   batch-forming window). Overload produces explicit `overloaded`
+//!   responses, never an unbounded queue.
 //! * **[`server`]** — the engine: each micro-batch runs through
 //!   [`spg_core::BatchExecutor::run_cached_coalesced_with_deadlines`],
 //!   which probes the shared [`spg_core::SpgCache`], collapses duplicate
 //!   misses onto singleflight latches ([`spg_core::FlightGroup`], shared
-//!   across batches), and computes the distinct misses as one
-//!   cohort-planned parallel run — so shared-endpoint misses get the
-//!   bit-parallel shared Phase 1.
+//!   across batches), and computes the distinct misses in parallel, each
+//!   on the adaptive per-query engine (the cohort-shared Phase 1 stays
+//!   available through [`ServerConfig::shared_phase1`]).
 //! * **[`client`]** — a small blocking client (tests, benchmarks,
 //!   reference framing implementation).
 //! * **[`json`]** — the vendored-deps-free JSON layer under all of it.

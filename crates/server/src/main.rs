@@ -7,7 +7,7 @@
 //!   --gnm N,M,SEED           serve a generated G(n,m) random digraph
 //!   --graph PATH             serve an edge-list file (one "u v" per line)
 //!   --batch-max N            micro-batch size cap          (default 64)
-//!   --batch-deadline-us N    batch-forming deadline in µs  (default 200)
+//!   --batch-deadline-us N    batch-forming deadline in µs  (default 0: drain what is queued)
 //!   --queue-cap N            admission queue bound         (default 1024)
 //!   --max-frame BYTES        frame payload cap             (default 1 MiB)
 //!   --rate R                 per-tenant requests/second    (default off)
@@ -15,6 +15,9 @@
 //!   --threads N              batch worker threads          (default auto)
 //!   --cache-bytes BYTES      result cache budget           (default 64 MiB)
 //! ```
+//!
+//! Missed queries run per query on the adaptive engine; the cohort-shared
+//! Phase 1 (`ServerConfig::shared_phase1`) has no flag and stays off.
 //!
 //! On success the process prints exactly one `LISTENING <addr>` line on
 //! stdout (the readiness handshake `serve_bench` and the CI smoke wait
@@ -137,9 +140,13 @@ fn main() -> ExitCode {
         Ok(cli) => cli,
         Err(e) => return usage(&e),
     };
+    let threads = match cli.config.threads {
+        0 => "auto".to_string(),
+        n => n.to_string(),
+    };
     eprintln!(
         "spg-server: graph {} ({} vertices, {} edges), batch_max {}, deadline {:?}, \
-         queue {}, cache {} B",
+         queue {}, cache {} B, threads {}, shared_phase1 {}",
         cli.graph_desc,
         cli.graph.vertex_count(),
         cli.graph.edge_count(),
@@ -147,6 +154,8 @@ fn main() -> ExitCode {
         cli.config.batch_deadline,
         cli.config.queue_capacity,
         cli.config.cache_bytes,
+        threads,
+        cli.config.shared_phase1,
     );
     #[cfg(feature = "failpoints")]
     {

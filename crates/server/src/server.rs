@@ -11,14 +11,17 @@
 //!   `ping`/`stats`/`update`, refusals and protocol errors inline, one
 //!   frame per write, and pushes admitted queries into the shared
 //!   [`BatchQueue`].
-//! * **Batcher** — a single thread drains the queue in deadline-bounded
-//!   micro-batches, earliest deadline first when a backlog leaves items
-//!   behind, and runs each through
+//! * **Batcher** — a single thread drains the queue in micro-batches. By
+//!   default it takes whatever is queued the moment it is free (a zero
+//!   [`ServerConfig::batch_deadline`]: requests that arrive during a drain
+//!   form the next batch anyway), earliest deadline first when a backlog
+//!   leaves items behind. It runs each batch through
 //!   [`BatchExecutor::run_cached_coalesced_with_deadlines`]: probe the shared
 //!   [`SpgCache`], collapse duplicate misses onto singleflight latches
 //!   ([`spg_core::FlightGroup`] — shared across batches, so a key already
 //!   computing in the previous drain is joined, not recomputed), and compute
-//!   the distinct misses as one cohort-planned parallel run.
+//!   the distinct misses in parallel, each as its own query on the adaptive
+//!   per-query engine ([`ServerConfig::shared_phase1`] is off by default).
 //!
 //! ## Replies
 //!
@@ -100,8 +103,11 @@ use crate::protocol::{
 pub struct ServerConfig {
     /// Largest micro-batch one drain executes.
     pub batch_max: usize,
-    /// Longest a request waits for its batch to fill. Zero dispatches
-    /// immediately; under a backlog the deadline is never paid.
+    /// Longest a request waits for its batch to fill. The default, zero,
+    /// drains whatever is queued as soon as the batcher is free: a window
+    /// pays only when waiting gathers queries that share work, and under
+    /// load the requests that arrive during a drain make up the next batch
+    /// anyway. Under a backlog the deadline is never paid.
     pub batch_deadline: Duration,
     /// Bound on queries admitted but not yet drained; pushes beyond it are
     /// refused with `overloaded`.
@@ -116,12 +122,17 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Byte budget of the shared result cache.
     pub cache_bytes: usize,
-    /// Cohort-shared MS-BFS Phase 1 for missed queries (the library
-    /// default; disable only to measure the per-query baseline).
+    /// Cohort-shared MS-BFS Phase 1 for missed queries. Off by default in
+    /// the server: each distinct miss runs as its own unit on the adaptive
+    /// per-query engine, whose search stays inside the query's search space,
+    /// while a cohort's lanes run the balanced, unpruned schedule over the
+    /// union of their frontiers — on the served traffic measured so far a
+    /// member's share of that traversal costs more than its own search.
+    /// [`BatchExecutor`] keeps sharing on by default, for in-process
+    /// batches that repeat endpoints. Answers are bit-identical either way.
     pub shared_phase1: bool,
     /// Widest MS-BFS lane block a shared-Phase-1 cohort may fill (64 or
-    /// 256 pairs per traversal; the 64-lane cap is for apples-to-apples
-    /// benchmarking, not production).
+    /// 256 pairs per traversal). Matters only with `shared_phase1` on.
     pub phase1_lanes: LaneWidth,
 }
 
@@ -129,14 +140,14 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             batch_max: 64,
-            batch_deadline: Duration::from_micros(200),
+            batch_deadline: Duration::ZERO,
             queue_capacity: 1024,
             max_frame_bytes: protocol::DEFAULT_MAX_FRAME_BYTES,
             rate_per_sec: 0.0,
             burst: 64.0,
             threads: 0,
             cache_bytes: 64 << 20,
-            shared_phase1: true,
+            shared_phase1: false,
             phase1_lanes: LaneWidth::default(),
         }
     }
@@ -258,9 +269,10 @@ impl ServerHandle {
     }
 
     /// Chaos hook (failpoints builds only): makes the batcher thread panic
-    /// just before it claims its next batch, exercising the supervisor's
-    /// respawn path without losing any admitted query. The batcher only
-    /// observes the flag when it wakes, so pair this with a query.
+    /// right after it answers its next batch — every reply of that batch
+    /// written, shed ones included — exercising the supervisor's respawn
+    /// path without losing any admitted query. An idle batcher never
+    /// observes the flag, so pair this with a query.
     #[cfg(feature = "failpoints")]
     pub fn chaos_kill_batcher(&self) {
         self.state.chaos_kill_batcher.store(true, Ordering::SeqCst);
@@ -578,106 +590,103 @@ fn batcher_loop(state: &Arc<ServerState>) {
     .shared_phase1(state.config.shared_phase1)
     .phase1_lanes(state.config.phase1_lanes);
 
-    loop {
-        // Chaos hook: die here, *between* batches, so the supervisor's
-        // respawn path is exercised without losing any admitted query.
+    while let Some(batch) = state.queue.next_batch() {
+        answer_batch(state, &executor, &batch);
+        // Chaos hook: die here, right after a batch's replies are written,
+        // so the supervisor's respawn path is exercised without losing any
+        // admitted query, and a freshly respawned batcher always answers a
+        // batch before the hook can kill it.
         #[cfg(feature = "failpoints")]
         if state.chaos_kill_batcher.swap(false, Ordering::SeqCst) {
             panic!("chaos: batcher killed by test hook");
         }
-        let Some(batch) = state.queue.next_batch() else {
-            break;
-        };
-        state.counters.batches.fetch_add(1, Ordering::Relaxed);
-        state
-            .counters
-            .max_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
+    }
+}
 
-        // Shed requests whose deadline burned away while they queued: an
-        // explicit `expired` response now beats a `deadline exceeded` error
-        // after paying for a doomed execution.
-        let now = Instant::now();
-        let mut live: Vec<&PendingQuery> = Vec::with_capacity(batch.len());
-        for pending in &batch {
-            match pending.deadline {
-                Some(deadline) if deadline <= now => {
-                    state.counters.shed_expired.fetch_add(1, Ordering::Relaxed);
-                    pending.conn.send(&expired_response(pending.id));
-                }
-                _ => live.push(pending),
+/// Sheds the batch's expired requests, drains the rest through `executor`
+/// and writes every reply.
+fn answer_batch(state: &ServerState, executor: &BatchExecutor, batch: &[PendingQuery]) {
+    state.counters.batches.fetch_add(1, Ordering::Relaxed);
+    state
+        .counters
+        .max_batch
+        .fetch_max(batch.len() as u64, Ordering::Relaxed);
+
+    // Shed requests whose deadline burned away while they queued: an
+    // explicit `expired` response now beats a `deadline exceeded` error
+    // after paying for a doomed execution.
+    let now = Instant::now();
+    let mut live: Vec<&PendingQuery> = Vec::with_capacity(batch.len());
+    for pending in batch {
+        match pending.deadline {
+            Some(deadline) if deadline <= now => {
+                state.counters.shed_expired.fetch_add(1, Ordering::Relaxed);
+                pending.conn.send(&expired_response(pending.id));
             }
+            _ => live.push(pending),
         }
-        if live.is_empty() {
-            continue;
-        }
+    }
+    if live.is_empty() {
+        return;
+    }
 
-        let queries: Vec<Query> = live.iter().map(|p| p.query).collect();
-        let deadlines: Vec<Option<Instant>> = live.iter().map(|p| p.deadline).collect();
-        // Bind to the *current* snapshot per drain — `update` requests may
-        // have mutated the graph since the last batch. Holding the read
-        // lock across the drain keeps the batch consistent: an update waits
-        // for the write lock until this drain's responses are computed.
-        let graph = state.graph.read().expect("server graph"); // lock: server.graph
-        let cached = CachedEve::with_defaults(&graph, &state.cache);
-        let drained = catch_unwind(AssertUnwindSafe(|| {
-            executor.run_cached_coalesced_with_deadlines(
-                &cached,
-                &state.flights,
-                &queries,
-                &deadlines,
-            )
-        }));
-        // The answers are owned: encode and write them outside the lock.
-        drop(graph);
-        let mut replies = DrainReplies::default();
-        match drained {
-            Ok(outcome) => {
-                state
-                    .counters
-                    .panics_isolated
-                    .fetch_add(outcome.stats.panics_isolated as u64, Ordering::Relaxed);
-                for (i, pending) in live.iter().enumerate() {
-                    match &outcome.results[i] {
-                        Ok(spg) => {
-                            state.counters.answered.fetch_add(1, Ordering::Relaxed);
-                            let source = outcome.slot_sources[i]
-                                .expect("ok slots always carry a cache outcome"); // spg-analyze: allow(no-panic) — ok slots always carry a cache outcome
-                            replies.push(
-                                &pending.conn,
-                                &ok_response(pending.id, source, spg.query().k, spg.edges()),
-                            );
+    let queries: Vec<Query> = live.iter().map(|p| p.query).collect();
+    let deadlines: Vec<Option<Instant>> = live.iter().map(|p| p.deadline).collect();
+    // Bind to the *current* snapshot per drain — `update` requests may
+    // have mutated the graph since the last batch. Holding the read
+    // lock across the drain keeps the batch consistent: an update waits
+    // for the write lock until this drain's responses are computed.
+    let graph = state.graph.read().expect("server graph"); // lock: server.graph
+    let cached = CachedEve::with_defaults(&graph, &state.cache);
+    let drained = catch_unwind(AssertUnwindSafe(|| {
+        executor.run_cached_coalesced_with_deadlines(&cached, &state.flights, &queries, &deadlines)
+    }));
+    // The answers are owned: encode and write them outside the lock.
+    drop(graph);
+    let mut replies = DrainReplies::default();
+    match drained {
+        Ok(outcome) => {
+            state
+                .counters
+                .panics_isolated
+                .fetch_add(outcome.stats.panics_isolated as u64, Ordering::Relaxed);
+            for (i, pending) in live.iter().enumerate() {
+                match &outcome.results[i] {
+                    Ok(spg) => {
+                        state.counters.answered.fetch_add(1, Ordering::Relaxed);
+                        let source =
+                            outcome.slot_sources[i].expect("ok slots always carry a cache outcome"); // spg-analyze: allow(no-panic) — ok slots always carry a cache outcome
+                        replies.push(
+                            &pending.conn,
+                            &ok_response(pending.id, source, spg.query().k, spg.edges()),
+                        );
+                    }
+                    Err(err) => {
+                        state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
+                        if matches!(err, QueryError::DeadlineExceeded) {
+                            state
+                                .counters
+                                .deadline_exceeded
+                                .fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(err) => {
-                            state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
-                            if matches!(err, QueryError::DeadlineExceeded) {
-                                state
-                                    .counters
-                                    .deadline_exceeded
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            replies.push(&pending.conn, &query_error_response(pending.id, err));
-                        }
+                        replies.push(&pending.conn, &query_error_response(pending.id, err));
                     }
                 }
             }
-            Err(_) => {
-                // Contain the crash to this batch: flight tokens abandoned on
-                // unwind, joiners in other drains recompute, we keep serving.
-                for pending in &live {
-                    state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
-                    replies.push(
-                        &pending.conn,
-                        &error_response(
-                            Some(pending.id),
-                            "internal error: batch execution panicked",
-                        ),
-                    );
-                }
+        }
+        Err(_) => {
+            // Contain the crash to this batch: flight tokens abandoned on
+            // unwind, joiners in other drains recompute, we keep serving.
+            for pending in &live {
+                state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
+                replies.push(
+                    &pending.conn,
+                    &error_response(Some(pending.id), "internal error: batch execution panicked"),
+                );
             }
         }
-        replies.send();
     }
+    replies.send();
 }
 
 /// One drain's replies, framed into one buffer per connection in slot order

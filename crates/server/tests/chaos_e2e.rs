@@ -320,8 +320,9 @@ fn a_killed_batcher_is_respawned_and_service_continues() {
     let before = client.query(1, 0, 1, 4).expect("healthy query");
     assert_eq!(before.status, "ok");
 
-    // The batcher checks the kill flag when it wakes for a batch: this
-    // query is answered by the doomed batcher, whose dying act follows it.
+    // The kill takes effect right after the batcher answers its next
+    // batch: this query is answered by the doomed batcher, whose dying act
+    // follows it.
     handle.chaos_kill_batcher();
     let during = client
         .query(2, 2, 40, 5)
@@ -362,8 +363,10 @@ fn repeated_batcher_deaths_fail_fast_with_an_error() {
 
     for round in 1..=4u64 {
         handle.chaos_kill_batcher();
-        // Each kill is observed when the batcher wakes: every one of these
-        // queries is still answered before its batcher dies.
+        // Each kill takes effect right after the batcher answers its next
+        // batch, so every one of these queries is answered before its
+        // batcher dies — a respawned batcher that has not started yet
+        // cannot die on the flag with nothing answered.
         let reply = client
             .query(round, 0, 1, 4)
             .expect("query during kill round");

@@ -48,10 +48,23 @@ fn next_id(counter: &AtomicU64) -> u64 {
     counter.fetch_add(1, Ordering::Relaxed)
 }
 
+/// The Phase-1 settings a served miss can take: per-query units on the
+/// adaptive engine (the server default) and cohort-shared MS-BFS lanes.
+/// The bit-identity tests whose drains hold several misses run under both,
+/// against the same local `Eve` oracle.
+const SHARED_PHASE1: [bool; 2] = [false, true];
+
 #[test]
 fn responses_are_bit_identical_to_local_eve() {
+    for shared_phase1 in SHARED_PHASE1 {
+        check_responses_bit_identical_to_local_eve(shared_phase1);
+    }
+}
+
+fn check_responses_bit_identical_to_local_eve(shared_phase1: bool) {
     let (addr, handle, server) = start_server(ServerConfig {
         batch_deadline: Duration::ZERO,
+        shared_phase1,
         ..ServerConfig::default()
     });
     let graph = test_graph();
@@ -71,27 +84,36 @@ fn responses_are_bit_identical_to_local_eve() {
         let reply = client
             .query(id, case.source, case.target, case.k)
             .expect("round trip");
-        assert_eq!(reply.id, Some(id), "responses echo the request id");
-        match eve.query(*case) {
-            Ok(spg) => {
-                assert_eq!(reply.status, "ok", "{case:?}");
-                assert_eq!(
-                    reply.edges.as_deref(),
-                    Some(spg.edges()),
-                    "wire edges must be bit-identical to Eve::query for {case:?}"
-                );
-                assert_eq!(reply.k, Some(spg.query().k), "clamped k is echoed");
-            }
-            Err(err) => {
-                assert_eq!(reply.status, "error", "{case:?}");
-                assert_eq!(
-                    reply.error.as_deref(),
-                    Some(err.to_string().as_str()),
-                    "wire error must be the exact QueryError string for {case:?}"
-                );
-            }
-        }
+        assert_eq!(
+            reply.id,
+            Some(id),
+            "responses echo the request id (shared_phase1 {shared_phase1})"
+        );
+        assert_matches_local_eve(&reply, &eve, *case, shared_phase1);
     }
+
+    // A pipelined fan of distinct misses out of one hub: every drain that
+    // takes two or more of them plans them as one cohort when sharing is
+    // on, so the shared lanes answer under the same oracle.
+    let fan: Vec<Query> = (20..52).map(|t| Query::new(0, t, 5)).collect();
+    for (i, q) in fan.iter().enumerate() {
+        client
+            .send_query(300 + i as u64, q.source, q.target, q.k)
+            .expect("send fan query");
+    }
+    let mut fan_ids = Vec::with_capacity(fan.len());
+    for _ in &fan {
+        let reply = client.recv().expect("fan reply");
+        let id = reply.id.expect("every reply carries its id");
+        let case = fan[(id - 300) as usize];
+        assert_matches_local_eve(&reply, &eve, case, shared_phase1);
+        fan_ids.push(id);
+    }
+    fan_ids.sort_unstable();
+    assert!(
+        fan_ids.iter().copied().eq(300..300 + fan.len() as u64),
+        "every fan query is answered once"
+    );
 
     // The same valid query again is a cache hit with the same bytes.
     let cold = client.query(200, 0, 1, 4).expect("cold");
@@ -101,6 +123,43 @@ fn responses_are_bit_identical_to_local_eve() {
 
     handle.shutdown();
     server.join().expect("clean server exit");
+}
+
+/// Holds one wire reply to the local `Eve::query` oracle: identical edge
+/// lists and clamped `k` for `ok`, the exact `QueryError` string for
+/// `error`.
+fn assert_matches_local_eve(reply: &Reply, eve: &Eve<'_>, case: Query, shared_phase1: bool) {
+    match eve.query(case) {
+        Ok(spg) => {
+            assert_eq!(
+                reply.status, "ok",
+                "{case:?}, shared_phase1 {shared_phase1}"
+            );
+            assert_eq!(
+                reply.edges.as_deref(),
+                Some(spg.edges()),
+                "wire edges must be bit-identical to Eve::query for {case:?}, \
+                 shared_phase1 {shared_phase1}"
+            );
+            assert_eq!(
+                reply.k,
+                Some(spg.query().k),
+                "clamped k is echoed (shared_phase1 {shared_phase1})"
+            );
+        }
+        Err(err) => {
+            assert_eq!(
+                reply.status, "error",
+                "{case:?}, shared_phase1 {shared_phase1}"
+            );
+            assert_eq!(
+                reply.error.as_deref(),
+                Some(err.to_string().as_str()),
+                "wire error must be the exact QueryError string for {case:?}, \
+                 shared_phase1 {shared_phase1}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -501,8 +560,18 @@ fn pipelined_burst_spanning_drains_is_answered_once_per_id() {
     // single reply. At `batch_max` 64 the queries need at least four
     // drains, and each drain answers the connection with one write of
     // several frames; the reader must still see every id exactly once.
+    // Drains here hold many misses at once, so with sharing on the
+    // hub-shaped repeats can run as cohorts.
+    for shared_phase1 in SHARED_PHASE1 {
+        check_pipelined_burst_answered_once_per_id(shared_phase1);
+    }
+}
+
+fn check_pipelined_burst_answered_once_per_id(shared_phase1: bool) {
     let (addr, handle, server) = start_server(ServerConfig {
         batch_max: 64,
+        batch_deadline: Duration::ZERO,
+        shared_phase1,
         ..ServerConfig::default()
     });
     let graph = test_graph();
@@ -539,23 +608,16 @@ fn pipelined_burst_spanning_drains_is_answered_once_per_id() {
     for _ in 0..=sent.len() {
         let reply = client.recv().expect("every frame parses");
         let id = reply.id.expect("every reply carries its id");
-        assert!(answered.insert(id), "id {id} answered twice");
+        assert!(
+            answered.insert(id),
+            "id {id} answered twice (shared_phase1 {shared_phase1})"
+        );
         if id == 5000 {
             assert_eq!(reply.raw.get("pong"), Some(&Json::Bool(true)));
             continue;
         }
         let query = sent.get(&id).expect("reply to a sent id");
-        match eve.query(*query) {
-            Ok(spg) => {
-                assert_eq!(reply.status, "ok", "{query:?}");
-                assert_eq!(reply.edges.as_deref(), Some(spg.edges()), "{query:?}");
-                assert_eq!(reply.k, Some(spg.query().k), "{query:?}");
-            }
-            Err(err) => {
-                assert_eq!(reply.status, "error", "{query:?}");
-                assert_eq!(reply.error, Some(err.to_string()), "{query:?}");
-            }
-        }
+        assert_matches_local_eve(&reply, &eve, *query, shared_phase1);
     }
     // Nothing is left over: the next frame answers a fresh ping.
     assert_eq!(client.ping(5001).expect("ping").id, Some(5001));
