@@ -10,11 +10,12 @@
 //!   and the flat pipeline on one warm workspace (`query_with`), plus
 //!   per-phase ns, edges/sec and workspace bytes (the PR-2 trajectory);
 //! * **thread_scaling** — whole-batch wall time of `BatchExecutor::run` at
-//!   each thread count of the ladder (default 1/2/4/8, overridable with
-//!   `--threads`) against the same warm sequential batch, with queries/sec
-//!   and speedup vs the single-thread executor (the PR-3 trajectory). Every
-//!   parallel run is checked slot-for-slot against the sequential answers
-//!   before its timing is recorded;
+//!   each thread count of the ladder (default the rungs of 1/2/4/8 that do
+//!   not exceed `available_parallelism`, overridable with `--threads`)
+//!   against the same warm sequential batch, with queries/sec and speedup
+//!   vs the first rung. Every rung is warmed, then each round samples every
+//!   rung once. Every parallel run is checked slot-for-slot against the
+//!   sequential answers before its timing is recorded;
 //! * **cache** — the versioned result cache over a repeat-heavy hot-key
 //!   batch: cold wall time (empty cache, misses compute-then-publish) vs a
 //!   warm rerun of the same batch (all hits skip phases 1–3), with intra-
@@ -196,8 +197,12 @@ struct ThreadScale {
 }
 
 /// Whole-batch wall time of the executor at each thread count, median over
-/// `repeats` runs. Every run's slots are checked against `expected` so a
-/// determinism regression can never produce a fast-but-wrong number.
+/// `repeats` rounds. Every rung is warmed first, then each round takes one
+/// sample per thread count: run back to back, one rung's repeats share a
+/// stretch of host drift (turbo state, noisy neighbours) that the next
+/// rung's do not, and the speed-ups stop reproducing. Every run's slots
+/// are checked against `expected` so a determinism regression can never
+/// produce a fast-but-wrong number.
 fn thread_scaling(
     eve: &Eve<'_>,
     queries: &[Query],
@@ -205,26 +210,33 @@ fn thread_scaling(
     repeats: usize,
     expected: &[Vec<(u32, u32)>],
 ) -> Vec<ThreadScale> {
-    let mut rows: Vec<ThreadScale> = Vec::with_capacity(thread_counts.len());
-    for &threads in thread_counts {
-        let executor = BatchExecutor::new(threads);
-        // Warm-up run (also the first correctness check).
-        verify(&executor.run(eve, queries), expected, threads);
-        let mut samples: Vec<u64> = Vec::with_capacity(repeats);
-        for _ in 0..repeats {
+    let executors: Vec<BatchExecutor> = thread_counts
+        .iter()
+        .map(|&threads| BatchExecutor::new(threads))
+        .collect();
+    // Warm-up run per rung (also the first correctness check).
+    for executor in &executors {
+        verify(&executor.run(eve, queries), expected, executor.threads());
+    }
+    let mut samples: Vec<Vec<u64>> = vec![Vec::with_capacity(repeats); executors.len()];
+    for _ in 0..repeats {
+        for (executor, rung) in executors.iter().zip(&mut samples) {
             let start = Instant::now();
             let results = executor.run(eve, queries);
-            samples.push(start.elapsed().as_nanos() as u64);
-            verify(&results, expected, threads);
+            rung.push(start.elapsed().as_nanos() as u64);
+            verify(&results, expected, executor.threads());
         }
-        let median = median_ns(&mut samples);
+    }
+    let mut rows: Vec<ThreadScale> = Vec::with_capacity(executors.len());
+    for (executor, mut rung) in executors.iter().zip(samples) {
+        let median = median_ns(&mut rung);
         let qps = queries.len() as f64 / (median as f64 / 1e9).max(1e-12);
         let speedup = match rows.first() {
             Some(first) => first.batch_median_ns as f64 / median.max(1) as f64,
             None => 1.0,
         };
         rows.push(ThreadScale {
-            threads,
+            threads: executor.threads(),
             batch_median_ns: median,
             queries_per_sec: qps,
             speedup_vs_first: speedup,
@@ -1241,7 +1253,7 @@ fn render_json(results: &[SuiteResult]) -> String {
 
 fn main() {
     let args = parse_args();
-    let (gnm, txn, default_threads): (DiGraph, DiGraph, &[usize]) = if args.smoke {
+    let (gnm, txn, default_threads): (DiGraph, DiGraph, Vec<usize>) = if args.smoke {
         // Tiny deterministic graphs: the smoke run exists to exercise the
         // parallel + cached paths and the JSON emitter, not to measure.
         let gnm = gnm_random(200, 1_000, 7);
@@ -1251,7 +1263,7 @@ fn main() {
             ..Default::default()
         })
         .full_graph();
-        (gnm, txn, &[1, 2])
+        (gnm, txn, vec![1, 2])
     } else {
         let gnm = gnm_random(4_000, 24_000, 7);
         let txn = TransactionGraph::generate(TransactionGraphConfig {
@@ -1260,12 +1272,12 @@ fn main() {
             ..Default::default()
         })
         .full_graph();
-        (gnm, txn, &[1, 2, 4, 8])
+        // A rung past the core count times oversubscription, not scaling.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let ladder = [1, 2, 4, 8].into_iter().filter(|&t| t <= cores).collect();
+        (gnm, txn, ladder)
     };
-    let thread_counts: Vec<usize> = args
-        .threads
-        .clone()
-        .unwrap_or_else(|| default_threads.to_vec());
+    let thread_counts: Vec<usize> = args.threads.clone().unwrap_or(default_threads);
 
     let results = vec![
         run_suite("gnm", gnm, &args, &thread_counts),

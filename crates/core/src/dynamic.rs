@@ -351,57 +351,6 @@ mod tests {
         assert_eq!(cache.max_resident_k(vg.version()), 0);
     }
 
-    /// A purge that fails after the graph mutated must not leave stale
-    /// entries reachable.
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn a_failed_purge_restamps_instead_of_serving_stale_answers() {
-        use crate::cache::CacheOutcome;
-        use crate::failpoints::FailAction;
-        use crate::workspace::QueryWorkspace;
-
-        let _guard = failpoints::serial_guard();
-        failpoints::clear_all();
-        let mut vg = VersionedGraph::new(paper_example::figure1_graph());
-        let cache = SpgCache::new(1 << 20);
-        let q = Query::new(S, T, 4);
-        CachedEve::with_defaults(&vg, &cache).query(q).unwrap();
-
-        for (action, edge) in [
-            (FailAction::Panic, EdgeDelta::remove(C, T)),
-            (FailAction::Budget, EdgeDelta::add(C, T)),
-        ] {
-            let before = vg.version();
-            failpoints::set(sites::UPDATE_PURGE, action, Some(1));
-            // (C, T) lies inside the cached entry's search space.
-            let up = apply_delta_scoped(&mut vg, &cache, &[edge]).unwrap();
-            assert_eq!(up.delta.applied, 1, "{action:?}: the delta stays applied");
-            assert_eq!(up.purged, 0);
-            assert_ne!(vg.version(), before, "{action:?}: the graph is restamped");
-            assert_eq!(vg.retired().last(), Some(&before));
-
-            let cached = CachedEve::with_defaults(&vg, &cache); // reclaims the orphans
-            let (requery, outcome) = cached
-                .query_with_outcome(&mut QueryWorkspace::new(), q)
-                .unwrap();
-            assert_eq!(outcome, CacheOutcome::Miss, "{action:?}");
-            let reference = crate::Eve::with_defaults(vg.graph()).query(q).unwrap();
-            assert_eq!(requery.edges(), reference.edges(), "{action:?}");
-        }
-        assert_eq!(
-            cache.stats().purged_stale,
-            2,
-            "each bind reclaimed an orphan"
-        );
-
-        // Disarmed: the next update purges normally and keeps the version.
-        let version = vg.version();
-        let up = apply_delta_scoped(&mut vg, &cache, &[EdgeDelta::remove(C, T)]).unwrap();
-        assert_eq!(up.purged, 1);
-        assert_eq!(vg.version(), version);
-        failpoints::clear_all();
-    }
-
     #[test]
     fn answer_vertices_are_sorted() {
         let g = paper_example::figure1_graph();

@@ -435,8 +435,8 @@ impl<'g> Eve<'g> {
 
     /// Answers a query with the hash-map reference pipeline (the pre-
     /// compaction implementation). Retained for differential testing and as
-    /// the baseline the `query_workspace` benchmark compares against; the
-    /// answer is always identical to [`Eve::query`].
+    /// the baseline of `bench_json`'s `legacy_median_ns` column; the answer
+    /// is always identical to [`Eve::query`].
     pub fn query_reference(&self, query: Query) -> Result<SimplePathGraph, QueryError> {
         Ok(self.query_detailed_reference(query)?.spg)
     }

@@ -1122,106 +1122,6 @@ mod tests {
         }
     }
 
-    /// Failpoint-injected faults exercise the cohort path, the single-unit
-    /// path, the drain-level gate and the singleflight leader. One #[test]
-    /// (the registry is process-global) under the serialization guard.
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn injected_faults_are_contained_and_recovered_from() {
-        use crate::failpoints::{self, FailAction};
-
-        let _guard = failpoints::serial_guard();
-        failpoints::clear_all();
-
-        let g = paper_example::figure1_graph();
-        let eve = Eve::with_defaults(&g);
-        let batch: Vec<Query> = (1..=8).map(|k| Query::new(S, T, k)).collect();
-        let expected = sequential(&eve, &batch);
-
-        // A phase-2 panic inside a cohort poisons only that cohort's
-        // unanswered members; the drain recovers on a fresh workspace and
-        // an immediate rerun is bit-identical to the sequential reference.
-        failpoints::set(sites::PHASE2, FailAction::Panic, Some(1));
-        let outcome = BatchExecutor::new(1).run_detailed(&eve, &batch);
-        assert_eq!(outcome.stats.panics_isolated, 1);
-        let panicked = outcome
-            .results
-            .iter()
-            .filter(|r| matches!(r, Err(QueryError::ExecutionPanicked)))
-            .count();
-        assert!(panicked >= 1, "the hit member (at least) errors");
-        assert_eq!(outcome.stats.errors, panicked);
-        for (slot, exp) in outcome.results.iter().zip(&expected) {
-            if let Ok(spg) = slot {
-                assert_eq!(spg.edges(), exp.as_ref().unwrap().edges());
-            }
-        }
-        let recovered = BatchExecutor::new(1).run_detailed(&eve, &batch);
-        assert_eq!(recovered.stats.panics_isolated, 0);
-        for (slot, exp) in recovered.results.iter().zip(&expected) {
-            assert_eq!(
-                slot.as_ref().unwrap().edges(),
-                exp.as_ref().unwrap().edges()
-            );
-        }
-
-        // With sharing off every query is its own single unit, so the same
-        // phase-2 panic is contained to exactly one slot: the workspace is
-        // replaced and every other slot is answered bit-identically.
-        failpoints::set(sites::PHASE2, FailAction::Panic, Some(1));
-        let outcome = BatchExecutor::new(2)
-            .shared_phase1(false)
-            .run_detailed(&eve, &batch);
-        assert_eq!(outcome.stats.panics_isolated, 1);
-        assert_eq!(outcome.stats.errors, 1);
-        assert_eq!(outcome.stats.answered, batch.len() - 1);
-        for (slot, exp) in outcome.results.iter().zip(&expected) {
-            match slot {
-                Ok(spg) => assert_eq!(spg.edges(), exp.as_ref().unwrap().edges()),
-                Err(err) => assert_eq!(err, &QueryError::ExecutionPanicked),
-            }
-        }
-
-        // A drain-level budget fault fails the whole cached drain
-        // gracefully: every slot answers with the canonical error.
-        let vg = VersionedGraph::new(paper_example::figure1_graph());
-        let cache = SpgCache::new(1 << 20);
-        let cached = CachedEve::with_defaults(&vg, &cache);
-        failpoints::set(sites::BATCH_DRAIN, FailAction::Budget, Some(1));
-        let outcome = run_cached(&BatchExecutor::new(2), &cached, &batch);
-        assert_eq!(outcome.results.len(), batch.len());
-        for slot in &outcome.results {
-            assert_eq!(slot.as_ref().unwrap_err(), &QueryError::BudgetExceeded);
-        }
-        assert!(outcome.slot_sources.iter().all(Option::is_none));
-
-        // A failing singleflight leader broadcasts its error to the led
-        // slots instead of leaving flights dangling. The k = 8 slot clamps
-        // onto the k = 7 key and *joins* that flight; observing a
-        // budget-failed (not panicked) leader it recomputes under its own
-        // unlimited budget and recovers the answer.
-        failpoints::set(sites::FLIGHT_LEADER, FailAction::Budget, Some(1));
-        let outcome = run_cached(&BatchExecutor::new(2), &cached, &batch);
-        for (slot, exp) in outcome.results.iter().take(7).zip(&expected) {
-            assert_eq!(slot.as_ref().unwrap_err(), &QueryError::BudgetExceeded);
-            assert!(exp.is_ok());
-        }
-        assert_eq!(
-            outcome.results[7].as_ref().unwrap().edges(),
-            expected[7].as_ref().unwrap().edges(),
-            "the joiner recomputed under its own budget"
-        );
-        let healthy = run_cached(&BatchExecutor::new(2), &cached, &batch);
-        for (slot, exp) in healthy.results.iter().zip(&expected) {
-            assert_eq!(
-                slot.as_ref().unwrap().edges(),
-                exp.as_ref().unwrap().edges()
-            );
-        }
-
-        failpoints::clear_all();
-    }
-
     #[test]
     fn constructors_and_accessors() {
         assert_eq!(BatchExecutor::new(0).threads(), 1, "zero threads clamps");

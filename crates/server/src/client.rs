@@ -1,10 +1,10 @@
 //! Minimal blocking client for the serving protocol.
 //!
-//! Used by the integration tests and the `serve_bench` harness; also a
-//! reference implementation of the framing for anyone writing a real
-//! client. One [`SpgClient`] is one TCP connection; it is deliberately
-//! synchronous (send one frame, read one frame) because the tests and the
-//! bench's closed-loop workers want exactly that. Out-of-order responses —
+//! Used by the integration tests; also a reference implementation of the
+//! framing for anyone writing a real client. One [`SpgClient`] is one TCP
+//! connection; it is deliberately synchronous (send one frame, read one
+//! frame) because the tests, which check one reply at a time, want
+//! exactly that. Out-of-order responses —
 //! which the server may produce across *concurrent* requests — only matter
 //! to clients that pipeline, and those should match on [`Reply::id`].
 //!

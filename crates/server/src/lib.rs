@@ -27,9 +27,9 @@
 //!
 //! The `spg-server` binary (`src/main.rs`) wraps [`server::SpgServer`] with
 //! a CLI: pick a graph (generated or loaded), bind a port, print
-//! `LISTENING <addr>` on stdout, serve until killed. `spg-bench`'s
-//! `serve_bench` drives that binary over real sockets and writes the
-//! `serving` section of `BENCH_6.json`.
+//! `LISTENING <addr>` on stdout, serve until killed. The benchmark in
+//! `perfbench/` (declared in `BENCHMARK.json`) drives that binary over
+//! real sockets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

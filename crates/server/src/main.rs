@@ -20,7 +20,7 @@
 //! Phase 1 (`ServerConfig::shared_phase1`) has no flag and stays off.
 //!
 //! On success the process prints exactly one `LISTENING <addr>` line on
-//! stdout (the readiness handshake `serve_bench` and the CI smoke wait
+//! stdout (the readiness handshake the benchmark in `perfbench/` waits
 //! for), logs lifecycle events to stderr, and serves until killed.
 
 use std::process::ExitCode;

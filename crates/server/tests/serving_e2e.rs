@@ -1,9 +1,8 @@
 //! End-to-end serving tests: a real `SpgServer` on a loopback socket,
 //! driven by real [`SpgClient`] connections.
 //!
-//! The contract under test is the one the CI smoke job enforces on the
-//! release binary: every byte that comes back over the wire must be
-//! explainable by a local [`Eve::query`] call — identical edge lists for
+//! The contract under test: every byte that comes back over the wire must
+//! be explainable by a local [`Eve::query`] call — identical edge lists for
 //! `ok`, identical [`spg_core::QueryError`] strings for `error` — and
 //! overload must surface as explicit `overloaded` responses, never as a
 //! hang or a dropped connection.
@@ -356,6 +355,14 @@ fn ping_and_stats_expose_the_engine() {
         .and_then(spg_server::json::Json::as_u64)
         .expect("cache.hits");
     assert!(hits >= 1, "the repeat query must register as a cache hit");
+    // The robustness counters are exposed, and quiet on a healthy server.
+    for counter in ["deadline_exceeded", "panics_isolated", "batcher_restarts"] {
+        let value = stats
+            .get("server")
+            .and_then(|s| s.get(counter))
+            .and_then(spg_server::json::Json::as_u64);
+        assert_eq!(value, Some(0), "server.{counter}");
+    }
 
     handle.shutdown();
     server.join().expect("clean server exit");
@@ -382,7 +389,8 @@ fn update_round_trip_purges_scoped_and_serves_the_new_graph() {
     let mut client = connect(addr);
 
     // Warm the cache with one entry per component.
-    assert_eq!(client.query(1, 0, 3, 4).expect("warm A").status, "ok");
+    let original = client.query(1, 0, 3, 4).expect("warm A");
+    assert_eq!(original.status, "ok");
     assert_eq!(client.query(2, 8, 9, 1).expect("warm B").status, "ok");
 
     // Remove an edge inside component A's answer.
@@ -425,17 +433,24 @@ fn update_round_trip_purges_scoped_and_serves_the_new_graph() {
     assert_eq!(field("seq"), 2);
     assert_eq!(field("purged"), 1, "the recomputed (0, 3, 4) entry");
 
+    // Restoring the edge restores the original answer.
+    let restored = client.query(7, 0, 3, 4).expect("requery A after re-add");
+    assert_eq!(
+        restored.edges, original.edges,
+        "the re-add must serve the first answer again"
+    );
+
     // Malformed batches are refused without poisoning the connection.
-    let refused = client.update(7, &[(2, 2)], &[]).expect("self-loop");
+    let refused = client.update(8, &[(2, 2)], &[]).expect("self-loop");
     assert_eq!(refused.status, "error");
     assert!(refused.error.unwrap().contains("self-loop"));
-    let empty = client.update(8, &[], &[]).expect("empty");
+    let empty = client.update(9, &[], &[]).expect("empty");
     assert_eq!(empty.status, "error");
     assert!(empty.error.unwrap().contains("non-empty"));
-    assert_eq!(client.ping(9).expect("ping").status, "ok");
+    assert_eq!(client.ping(10).expect("ping").status, "ok");
 
     // The stats surface the whole story.
-    let stats = client.stats(10).expect("stats").raw;
+    let stats = client.stats(11).expect("stats").raw;
     let server_stat = |key: &str| {
         stats
             .get("server")

@@ -12,8 +12,8 @@
 //!   batch executor;
 //! * [`fraud`] — the transaction-network fraud investigation of the §6.9 case
 //!   study, run end-to-end through EVE;
-//! * [`arrival`] — open- and closed-loop arrival schedules for the online
-//!   serving latency harness (`serve_bench`).
+//! * [`arrival`] — open- and closed-loop arrival schedules for the serving
+//!   benchmark in `perfbench/`.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
