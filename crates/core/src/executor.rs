@@ -1,13 +1,22 @@
 //! Multi-threaded batch query execution.
 //!
 //! The EVE pipeline is embarrassingly parallel across queries: the host
-//! [`DiGraph`](spg_graph::DiGraph) is read-only and every per-query structure
-//! lives in a [`QueryWorkspace`]. [`BatchExecutor`] exploits that with plain
-//! `std::thread::scope` workers (no dependency, no global thread-pool
-//! registry):
+//! [`DiGraph`] is read-only and every per-query structure lives in a
+//! [`QueryWorkspace`]. [`BatchExecutor`] exploits that with a **crew** of
+//! plain `std` worker threads (no dependency, no global thread-pool
+//! registry), started on the executor's first multi-worker run, parked on
+//! a condvar between runs and joined when the executor is dropped. A run
+//! hands the crew one owned job — an O(1) [`DiGraph`] clone of the graph,
+//! the [`EveConfig`], the queries, deadlines, plan and result slots — and
+//! waits, without computing itself, until every woken worker has let go of
+//! it. A parked worker wakes in microseconds, where a freshly spawned
+//! thread first waits for the scheduler to place it; on small batches that
+//! start-up cost rivals the batch itself. Concurrent callers of one
+//! executor take turns on its crew.
 //!
-//! * each worker owns a **private** [`QueryWorkspace`], so the hot path stays
-//!   allocation-free after warm-up exactly as in the sequential case;
+//! * each worker drains with a **private** [`QueryWorkspace`] checked out
+//!   of the executor's pool, so the hot path stays allocation-free after
+//!   warm-up exactly as in the sequential case;
 //! * the batch is first planned into **scheduling units**. By default
 //!   these are **cohorts** ([`crate::cohort`]): up to [`LaneWidth::lanes`]
 //!   (256 by default) distinct `(s, t)` endpoint pairs whose Phase-1
@@ -25,8 +34,8 @@
 //!   answers are bit-identical to sequential [`Eve::query_with`] runs — the
 //!   workspace-reuse property (answers never depend on what a workspace ran
 //!   before; see `tests/workspace_reuse.rs`) is what makes per-thread
-//!   workspaces safe. A single-worker executor drains inline on the
-//!   calling thread.
+//!   workspaces safe. A run with a single unit, and every run of a
+//!   single-worker executor, drains inline on the calling thread.
 //!
 //! ### Error aggregation and fault-isolation policy
 //!
@@ -52,17 +61,17 @@
 //!   Cohorts run their shared traversal under the *latest* member deadline
 //!   (see [`crate::cohort`]).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use spg_graph::{QueryBudget, SearchSpaceStats};
+use spg_graph::{DiGraph, QueryBudget, SearchSpaceStats};
 
 use crate::cache::{CacheOutcome, CachedEve};
 use crate::cohort::{run_cohort, CohortPlan, LaneWidth, Unit};
-use crate::eve::Eve;
+use crate::eve::{Eve, EveConfig};
 use crate::failpoints::{self, sites};
 use crate::flight::{FlightGroup, FlightOutcome, FlightRole};
 use crate::query::{Query, QueryError};
@@ -86,15 +95,16 @@ fn slot_deadline(deadlines: &[Option<Instant>], index: usize) -> Option<Instant>
 /// Per-query outcome of a batch: the answer, or why the query was rejected.
 pub type BatchResult = Result<SimplePathGraph, QueryError>;
 
-// The executor shares `Eve` (a graph reference + config) and the query slice
-// across scoped threads; keep that capability a compile-time fact.
+// The executor hands owned jobs (a graph snapshot, queries and result
+// slots) to its long-lived workers; keep that capability a compile-time fact.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Eve<'static>>();
+    assert_send_sync::<DiGraph>();
     assert_send_sync::<Query>();
     assert_send_sync::<QueryError>();
     assert_send_sync::<QueryWorkspace>();
     assert_send_sync::<SimplePathGraph>();
+    assert_send_sync::<Job>();
 };
 
 /// Multi-threaded executor for query batches (see the module docs).
@@ -116,18 +126,22 @@ pub struct BatchExecutor {
     threads: usize,
     shared_phase1: bool,
     phase1_lanes: LaneWidth,
-    pool: WorkspacePool,
+    pool: Arc<WorkspacePool>,
+    /// The parked workers, started on the first multi-worker run.
+    crew: OnceLock<Crew>,
 }
 
 impl Clone for BatchExecutor {
-    /// Clones the configuration; the pooled workspaces stay with the
-    /// original (the clone warms its own pool).
+    /// Clones the configuration; the pooled workspaces and the crew stay
+    /// with the original (the clone warms its own pool and starts its own
+    /// crew).
     fn clone(&self) -> Self {
         BatchExecutor {
             threads: self.threads,
             shared_phase1: self.shared_phase1,
             phase1_lanes: self.phase1_lanes,
-            pool: WorkspacePool::default(),
+            pool: Arc::default(),
+            crew: OnceLock::new(),
         }
     }
 }
@@ -155,12 +169,10 @@ impl WorkspacePool {
         self.idle().push(ws);
     }
 
-    fn idle(&self) -> std::sync::MutexGuard<'_, Vec<QueryWorkspace>> {
+    fn idle(&self) -> MutexGuard<'_, Vec<QueryWorkspace>> {
         // A panic while the lock is held cannot corrupt a Vec of idle
         // workspaces; recover instead of poisoning every later batch.
-        self.idle
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner) // lock: executor.pool
     }
 }
 
@@ -182,7 +194,8 @@ impl BatchExecutor {
             threads: threads.max(1),
             shared_phase1: true,
             phase1_lanes: LaneWidth::default(),
-            pool: WorkspacePool::default(),
+            pool: Arc::default(),
+            crew: OnceLock::new(),
         }
     }
 
@@ -244,6 +257,9 @@ impl BatchExecutor {
     /// and answers the members from the shared distances; single units go
     /// through [`Eve::query_budgeted`] unchanged. `deadlines` is indexed by
     /// slot (may be shorter than `queries`; missing entries mean unbounded).
+    ///
+    /// A run of one worker drains inline; a wider one is posted to the crew
+    /// and re-raises, here, any panic that escaped a worker's drain loop.
     fn run_planned(
         &self,
         eve: &Eve<'_>,
@@ -256,35 +272,30 @@ impl BatchExecutor {
             CohortPlan::singles(queries.len())
         };
         let workers = self.threads.min(plan.units.len()).max(1);
-        let slots: Vec<OnceLock<BatchResult>> =
-            (0..queries.len()).map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
+        let job = Arc::new(Job {
+            graph: eve.graph().clone(),
+            config: eve.config(),
+            queries: queries.to_vec(),
+            deadlines: deadlines.to_vec(),
+            slots: (0..queries.len()).map(|_| OnceLock::new()).collect(),
+            plan,
+            cursor: AtomicUsize::new(0),
+            pool: Arc::clone(&self.pool),
+        });
 
-        let mut per_thread: Vec<ThreadBatchStats> = Vec::with_capacity(workers);
-        if workers == 1 {
-            // Sequential fast path: same drain loop, no spawn cost. This is
+        let crew = (workers > 1).then(|| self.crew.get_or_init(|| Crew::start(self.threads)));
+        let per_thread = match crew.filter(|crew| crew.size() > 0) {
+            Some(crew) => crew.run(&job, workers),
+            // Sequential fast path: same drain loop, no hand-off. This is
             // also what makes `BatchExecutor::new(1)` a faithful baseline in
             // the thread-scaling benchmarks.
-            per_thread.push(drain(
-                eve, queries, &plan, deadlines, &cursor, &slots, &self.pool,
-            ));
-        } else {
-            thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            drain(eve, queries, &plan, deadlines, &cursor, &slots, &self.pool)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    // spg-analyze: allow(no-panic) — a worker panic here is a bug; catch_unwind guards the slots
-                    per_thread.push(handle.join().expect("batch worker panicked"));
-                }
-            });
-        }
+            None => vec![job.drain()],
+        };
 
-        let results: Vec<BatchResult> = slots
+        let results: Vec<BatchResult> = Arc::into_inner(job)
+            // spg-analyze: allow(no-panic) — the crew returns only after every worker dropped its handle
+            .expect("no worker still holds the job")
+            .slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
@@ -292,7 +303,7 @@ impl BatchExecutor {
                     .expect("the cohort plan covers every query index exactly once")
             })
             .collect();
-        let stats = BatchStats::from_workers(workers, per_thread);
+        let stats = BatchStats::from_workers(per_thread);
         debug_assert_eq!(stats.answered + stats.errors, results.len());
         BatchOutcome {
             results,
@@ -549,6 +560,214 @@ impl Default for BatchExecutor {
     }
 }
 
+/// One multi-worker run, owned so that parked workers can hold it: the
+/// graph snapshot and everything [`drain`] reads or writes.
+struct Job {
+    graph: DiGraph,
+    config: EveConfig,
+    queries: Vec<Query>,
+    deadlines: Vec<Option<Instant>>,
+    plan: CohortPlan,
+    slots: Vec<OnceLock<BatchResult>>,
+    cursor: AtomicUsize,
+    pool: Arc<WorkspacePool>,
+}
+
+impl Job {
+    /// One worker's share of the job (see [`drain`]).
+    fn drain(&self) -> ThreadBatchStats {
+        let eve = Eve::new(&self.graph, self.config);
+        drain(
+            &eve,
+            &self.queries,
+            &self.plan,
+            &self.deadlines,
+            &self.cursor,
+            &self.slots,
+            &self.pool,
+        )
+    }
+}
+
+/// An executor's parked workers, named `spg-drain-<i>`. Dropping the crew
+/// wakes them to exit and joins them.
+struct Crew {
+    board: Arc<Board>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+/// What a crew's caller and workers share: one posted job at a time.
+#[derive(Default)]
+struct Board {
+    state: Mutex<BoardState>,
+    /// Wakes parked workers when a job is posted or the crew shuts down.
+    posted: Condvar,
+    /// Wakes callers when the last worker lets go of the job, and when the
+    /// board is free for the next job.
+    released: Condvar,
+}
+
+#[derive(Default)]
+struct BoardState {
+    /// The posted job; `Some` from post until its caller collects it.
+    job: Option<Arc<Job>>,
+    /// Bumped per posted job, so that no worker drains one job twice.
+    generation: u64,
+    /// Workers still to pick up the posted job.
+    unclaimed: usize,
+    /// Workers holding the posted job.
+    holding: usize,
+    /// One report per worker that let go of the posted job: its counters,
+    /// or the payload of a panic that escaped its drain loop.
+    reports: Vec<thread::Result<ThreadBatchStats>>,
+    shutdown: bool,
+}
+
+impl Board {
+    fn lock(&self) -> MutexGuard<'_, BoardState> {
+        // Every update under this lock is a few counter writes that cannot
+        // panic half-way; recover instead of wedging the crew.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner) // lock: executor.crew
+    }
+
+    /// A parked worker's life: wait for a job it has not drained yet, drain
+    /// it, let go of it and report; exit on shutdown.
+    fn serve(&self) {
+        let mut seen = 0u64;
+        loop {
+            let mut state = self.lock(); // lock: executor.crew
+            let job = loop {
+                if state.shutdown {
+                    return;
+                }
+                if state.unclaimed > 0 && state.generation != seen {
+                    if let Some(job) = state.job.clone() {
+                        break job;
+                    }
+                }
+                state = self
+                    .posted
+                    .wait(state) // lock: executor.crew
+                    .unwrap_or_else(PoisonError::into_inner);
+            };
+            seen = state.generation;
+            state.unclaimed -= 1;
+            state.holding += 1;
+            drop(state);
+
+            let report = catch_unwind(AssertUnwindSafe(|| job.drain()));
+            // Let go before reporting: the caller unwraps the job once the
+            // last worker has reported.
+            drop(job);
+            let mut state = self.lock(); // lock: executor.crew
+            state.holding -= 1;
+            state.reports.push(report);
+            if state.unclaimed == 0 && state.holding == 0 {
+                self.released.notify_all();
+            }
+        }
+    }
+}
+
+impl Crew {
+    /// Starts up to `threads` parked workers. A worker the OS refuses to
+    /// start is left out; a crew with none drains every run inline.
+    fn start(threads: usize) -> Crew {
+        let board = Arc::new(Board::default());
+        let mut workers = Vec::with_capacity(threads);
+        for i in 0..threads {
+            let shared = Arc::clone(&board);
+            let spawned = thread::Builder::new()
+                .name(format!("spg-drain-{i}"))
+                .spawn(move || shared.serve());
+            match spawned {
+                Ok(worker) => workers.push(worker),
+                Err(err) => {
+                    eprintln!(
+                        "spg-core: drain worker {i} failed to start ({err}); \
+                         draining with {} worker(s)",
+                        workers.len()
+                    );
+                    break;
+                }
+            }
+        }
+        Crew { board, workers }
+    }
+
+    /// Workers the crew started.
+    fn size(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Posts `job` to `workers` parked workers, waits until each has let go
+    /// of it and returns their counters. A caller that finds the board busy
+    /// waits its turn. A panic that escaped a worker's drain loop is
+    /// re-raised here, after the board is cleared, so the crew keeps
+    /// serving.
+    fn run(&self, job: &Arc<Job>, workers: usize) -> Vec<ThreadBatchStats> {
+        let board = &*self.board;
+        let mut state = board.lock(); // lock: executor.crew
+        while state.job.is_some() {
+            state = board
+                .released
+                .wait(state) // lock: executor.crew
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let wake = workers.min(self.size());
+        state.job = Some(Arc::clone(job));
+        state.generation = state.generation.wrapping_add(1);
+        state.unclaimed = wake;
+        // Unlock before waking, so that woken workers find the lock free.
+        // A worker not parked yet sees the job before it next waits, so
+        // one wake per claim suffices.
+        drop(state);
+        for _ in 0..wake {
+            board.posted.notify_one();
+        }
+        let mut state = board.lock(); // lock: executor.crew
+        while state.unclaimed > 0 || state.holding > 0 {
+            state = board
+                .released
+                .wait(state) // lock: executor.crew
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.job = None;
+        let reports = std::mem::take(&mut state.reports);
+        drop(state);
+        // Wake a caller waiting for its turn.
+        board.released.notify_all();
+
+        let mut per_thread = Vec::with_capacity(reports.len());
+        for report in reports {
+            match report {
+                Ok(stats) => per_thread.push(stats),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        per_thread
+    }
+}
+
+impl Drop for Crew {
+    fn drop(&mut self) {
+        self.board.lock().shutdown = true; // lock: executor.crew
+        self.board.posted.notify_all();
+        for worker in self.workers.drain(..) {
+            // A worker catches its drain's panics, so it exits cleanly.
+            let _ = worker.join();
+        }
+    }
+}
+
+impl std::fmt::Debug for Crew {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Crew")
+            .field("workers", &self.size())
+            .finish()
+    }
+}
+
 /// One worker's drain loop: claim one unit at a time, run cohorts via
 /// [`run_cohort`] and singles via [`Eve::query_budgeted`], publish every
 /// member into its pre-sized slot.
@@ -742,7 +961,9 @@ pub struct ThreadBatchStats {
 /// Aggregated execution statistics of a batch run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Workers actually spawned (`min(threads, units)`, at least 1).
+    /// Workers that drained this run: `min(threads, units)`, at least 1
+    /// (fewer only if the executor's crew could not start all of its
+    /// workers).
     pub threads: usize,
     /// Successfully answered queries across all workers.
     pub answered: usize,
@@ -778,14 +999,14 @@ pub struct BatchStats {
     /// Sum of every worker's retained workspace capacity — the steady-state
     /// memory a long-lived executor of this shape keeps resident.
     pub workspace_retained_bytes: usize,
-    /// Per-worker breakdown, in spawn order.
+    /// Per-worker breakdown, in the order the workers finished.
     pub per_thread: Vec<ThreadBatchStats>,
 }
 
 impl BatchStats {
-    fn from_workers(threads: usize, per_thread: Vec<ThreadBatchStats>) -> Self {
+    fn from_workers(per_thread: Vec<ThreadBatchStats>) -> Self {
         let mut stats = BatchStats {
-            threads,
+            threads: per_thread.len(),
             ..BatchStats::default()
         };
         for worker in &per_thread {
@@ -825,7 +1046,8 @@ mod tests {
     use super::*;
     use crate::cache::SpgCache;
     use crate::paper_example::{self, names::*};
-    use spg_graph::VersionedGraph;
+    use spg_graph::generators::gnm_random;
+    use spg_graph::{EdgeDelta, VersionedGraph};
 
     fn mixed_batch(n: u32) -> Vec<Query> {
         // Valid queries across hop constraints, plus the three invalid
@@ -1120,6 +1342,119 @@ mod tests {
                 assert_eq!(slot.as_ref().unwrap_err(), &QueryError::DeadlineExceeded);
             }
         }
+    }
+
+    /// Asserts that `got` equals sequential `Eve::query` on `g`, slot by slot.
+    fn assert_matches_sequential(g: &DiGraph, batch: &[Query], got: &[BatchResult], what: &str) {
+        let eve = Eve::with_defaults(g);
+        assert_eq!(got.len(), batch.len(), "{what}");
+        for (i, (slot, &query)) in got.iter().zip(batch).enumerate() {
+            match (slot, eve.query(query)) {
+                (Ok(a), Ok(b)) => assert_eq!(a.edges(), b.edges(), "{what}: slot {i}"),
+                (Err(a), Err(b)) => assert_eq!(*a, b, "{what}: slot {i}"),
+                other => panic!("{what}: slot {i}: Ok/Err mismatch {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn one_crew_serves_many_runs() {
+        let figure1 = paper_example::figure1_graph();
+        let gnm = gnm_random(60, 360, 11);
+        for threads in [2usize, 4] {
+            let executor = BatchExecutor::new(threads);
+
+            // Alternating graphs: no worker may keep the previous snapshot.
+            for (round, g) in [&figure1, &gnm, &figure1, &gnm].into_iter().enumerate() {
+                let batch = mixed_batch(g.vertex_count() as u32);
+                let outcome = executor.run_detailed(&Eve::with_defaults(g), &batch);
+                assert_eq!(outcome.stats.threads, threads, "every worker took the job");
+                let what = format!("threads {threads}, graph round {round}");
+                assert_matches_sequential(g, &batch, &outcome.results, &what);
+            }
+            let crew = executor
+                .crew
+                .get()
+                .expect("a multi-worker run starts the crew");
+            assert_eq!(crew.size(), threads);
+            // Each worker holds the board until it exits.
+            let board = Arc::downgrade(&crew.board);
+
+            // A delta between two runs: the second run sees the new edges.
+            let mut vg = VersionedGraph::new(paper_example::figure1_graph());
+            let batch = mixed_batch(vg.vertex_count() as u32);
+            let before = executor.run(&Eve::with_defaults(vg.graph()), &batch);
+            assert_matches_sequential(vg.graph(), &batch, &before, "before the delta");
+            vg.apply_delta(&[EdgeDelta::remove(C, T), EdgeDelta::add(H, T)])
+                .unwrap();
+            let after = executor.run(&Eve::with_defaults(vg.graph()), &batch);
+            assert_matches_sequential(vg.graph(), &batch, &after, "after the delta");
+            let changed = before.iter().zip(&after).any(|pair| match pair {
+                (Ok(a), Ok(b)) => a.edges() != b.edges(),
+                _ => false,
+            });
+            assert!(changed, "the delta changes some answer");
+
+            // Two callers at once take turns on the one crew.
+            let figure1_batch = mixed_batch(figure1.vertex_count() as u32);
+            let gnm_batch = mixed_batch(gnm.vertex_count() as u32);
+            thread::scope(|scope| {
+                let callers = [(&figure1, &figure1_batch), (&gnm, &gnm_batch)].map(|(g, batch)| {
+                    let executor = &executor;
+                    scope.spawn(move || {
+                        for _ in 0..if cfg!(miri) { 2 } else { 20 } {
+                            let got = executor.run(&Eve::with_defaults(g), batch);
+                            assert_matches_sequential(g, batch, &got, "concurrent callers");
+                        }
+                    })
+                });
+                for caller in callers {
+                    caller.join().unwrap();
+                }
+            });
+
+            drop(executor);
+            assert!(
+                board.upgrade().is_none(),
+                "dropping the executor ends its workers"
+            );
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_and_the_crew_keeps_serving() {
+        let g = paper_example::figure1_graph();
+        let eve = Eve::with_defaults(&g);
+        let batch = mixed_batch(g.vertex_count() as u32);
+        let executor = BatchExecutor::new(2);
+        executor.run(&eve, &batch);
+        let crew = executor
+            .crew
+            .get()
+            .expect("a multi-worker run starts the crew");
+        // A plan that hands one slot out twice: the second publish panics
+        // outside every unit's `catch_unwind`, in the worker's drain loop.
+        let job = Arc::new(Job {
+            graph: g.clone(),
+            config: eve.config(),
+            queries: vec![Query::new(S, T, 4)],
+            deadlines: Vec::new(),
+            plan: CohortPlan {
+                units: vec![Unit::Single(0), Unit::Single(0)],
+            },
+            slots: vec![OnceLock::new()],
+            cursor: AtomicUsize::new(0),
+            pool: Arc::clone(&executor.pool),
+        });
+        let raised = catch_unwind(AssertUnwindSafe(|| crew.run(&job, 2)));
+        assert!(
+            raised.is_err(),
+            "the worker's panic is re-raised on the caller"
+        );
+        assert_eq!(Arc::strong_count(&job), 1, "every worker let go of the job");
+
+        let got = executor.run(&eve, &batch);
+        assert_matches_sequential(&g, &batch, &got, "after a worker panic");
     }
 
     #[test]

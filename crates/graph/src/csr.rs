@@ -14,6 +14,8 @@
 //! `O(log d)` binary searches and neighbourhood intersections stream in
 //! order.
 
+use std::sync::Arc;
+
 use crate::builder::GraphBuilder;
 use crate::delta::{validate_deltas, DeltaError, DeltaOp, EdgeDelta};
 
@@ -85,6 +87,37 @@ struct Overlay {
     edge_count: usize,
 }
 
+/// The base CSR arrays of a [`DiGraph`], never mutated once built.
+#[derive(PartialEq, Eq)]
+struct Csr {
+    /// `out_offsets[u]..out_offsets[u+1]` indexes `out_targets` for vertex `u`.
+    out_offsets: Vec<u32>,
+    /// Concatenated, per-vertex-sorted out-neighbour lists.
+    out_targets: Vec<VertexId>,
+    /// `in_offsets[v]..in_offsets[v+1]` indexes `in_sources` for vertex `v`.
+    in_offsets: Vec<u32>,
+    /// Concatenated, per-vertex-sorted in-neighbour lists.
+    in_sources: Vec<VertexId>,
+}
+
+impl Csr {
+    /// Out-neighbours of `u`, ignoring any overlay.
+    #[inline]
+    fn out_row(&self, u: VertexId) -> &[VertexId] {
+        let lo = self.out_offsets[u as usize] as usize;
+        let hi = self.out_offsets[u as usize + 1] as usize;
+        &self.out_targets[lo..hi]
+    }
+
+    /// In-neighbours of `v`, ignoring any overlay.
+    #[inline]
+    fn in_row(&self, v: VertexId) -> &[VertexId] {
+        let lo = self.in_offsets[v as usize] as usize;
+        let hi = self.in_offsets[v as usize + 1] as usize;
+        &self.in_sources[lo..hi]
+    }
+}
+
 /// An immutable directed graph in CSR form with out- and in-adjacency.
 ///
 /// "Immutable" describes the base CSR arrays; [`DiGraph::apply_delta`] layers
@@ -95,18 +128,17 @@ struct Overlay {
 /// the overlay into fresh CSR arrays. `PartialEq` is representational (an
 /// overlaid graph and its compacted twin compare unequal) — compare
 /// [`DiGraph::edges`] for semantic equality.
+///
+/// `clone` is O(1): the base arrays and the overlay sit behind shared
+/// [`Arc`]s. A clone is still an independent graph — `apply_delta` copies
+/// a shared overlay before patching it, and `compact` builds fresh arrays —
+/// so mutating one side never changes what the other observes.
 #[derive(Clone, PartialEq, Eq)]
 pub struct DiGraph {
-    /// `out_offsets[u]..out_offsets[u+1]` indexes `out_targets` for vertex `u`.
-    out_offsets: Vec<u32>,
-    /// Concatenated, per-vertex-sorted out-neighbour lists.
-    out_targets: Vec<VertexId>,
-    /// `in_offsets[v]..in_offsets[v+1]` indexes `in_sources` for vertex `v`.
-    in_offsets: Vec<u32>,
-    /// Concatenated, per-vertex-sorted in-neighbour lists.
-    in_sources: Vec<VertexId>,
+    /// The base CSR, shared by every clone.
+    base: Arc<Csr>,
     /// Patched rows from applied [`EdgeDelta`] batches, if any.
-    overlay: Option<Box<Overlay>>,
+    overlay: Option<Arc<Overlay>>,
 }
 
 impl std::fmt::Debug for DiGraph {
@@ -131,10 +163,12 @@ impl DiGraph {
         debug_assert_eq!(out_offsets.len(), in_offsets.len());
         debug_assert_eq!(out_targets.len(), in_sources.len());
         DiGraph {
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
+            base: Arc::new(Csr {
+                out_offsets,
+                out_targets,
+                in_offsets,
+                in_sources,
+            }),
             overlay: None,
         }
     }
@@ -164,7 +198,7 @@ impl DiGraph {
     /// Number of vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {
-        self.out_offsets.len() - 1
+        self.base.out_offsets.len() - 1
     }
 
     /// Number of directed edges (overlay-aware).
@@ -172,7 +206,7 @@ impl DiGraph {
     pub fn edge_count(&self) -> usize {
         match &self.overlay {
             Some(o) => o.edge_count,
-            None => self.out_targets.len(),
+            None => self.base.out_targets.len(),
         }
     }
 
@@ -188,22 +222,6 @@ impl DiGraph {
         0..self.vertex_count() as VertexId
     }
 
-    /// Out-neighbours of `u` in the *base* CSR, ignoring any overlay.
-    #[inline]
-    fn base_out(&self, u: VertexId) -> &[VertexId] {
-        let lo = self.out_offsets[u as usize] as usize;
-        let hi = self.out_offsets[u as usize + 1] as usize;
-        &self.out_targets[lo..hi]
-    }
-
-    /// In-neighbours of `v` in the *base* CSR, ignoring any overlay.
-    #[inline]
-    fn base_in(&self, v: VertexId) -> &[VertexId] {
-        let lo = self.in_offsets[v as usize] as usize;
-        let hi = self.in_offsets[v as usize + 1] as usize;
-        &self.in_sources[lo..hi]
-    }
-
     /// Out-neighbours of `u`, sorted ascending (overlay-aware: a patched row
     /// shadows the base CSR, still a plain slice fetch plus one branch).
     #[inline]
@@ -213,7 +231,7 @@ impl DiGraph {
                 return row;
             }
         }
-        self.base_out(u)
+        self.base.out_row(u)
     }
 
     /// In-neighbours of `v`, sorted ascending (overlay-aware).
@@ -224,7 +242,7 @@ impl DiGraph {
                 return row;
             }
         }
-        self.base_in(v)
+        self.base.in_row(v)
     }
 
     /// Out-degree of `u`.
@@ -268,8 +286,9 @@ impl DiGraph {
     #[inline]
     pub fn edge_id(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
         debug_assert!(self.overlay.is_none(), "edge ids index the base CSR");
-        let base = self.out_offsets[u as usize];
-        self.base_out(u)
+        let base = self.base.out_offsets[u as usize];
+        self.base
+            .out_row(u)
             .binary_search(&v)
             .ok()
             .map(|pos| base + pos as EdgeId)
@@ -282,10 +301,10 @@ impl DiGraph {
     /// offset array.
     pub fn edge_endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
         debug_assert!(self.overlay.is_none(), "edge ids index the base CSR");
-        debug_assert!((e as usize) < self.out_targets.len());
-        let v = self.out_targets[e as usize];
+        debug_assert!((e as usize) < self.base.out_targets.len());
+        let v = self.base.out_targets[e as usize];
         // partition_point returns the first u with offset > e, so source = u-1.
-        let u = self.out_offsets.partition_point(|&off| off <= e) - 1;
+        let u = self.base.out_offsets.partition_point(|&off| off <= e) - 1;
         (u as VertexId, v)
     }
 
@@ -294,8 +313,9 @@ impl DiGraph {
     #[inline]
     pub fn out_edges(&self, u: VertexId) -> impl Iterator<Item = (EdgeId, VertexId)> + '_ {
         debug_assert!(self.overlay.is_none(), "edge ids index the base CSR");
-        let base = self.out_offsets[u as usize];
-        self.base_out(u)
+        let base = self.base.out_offsets[u as usize];
+        self.base
+            .out_row(u)
             .iter()
             .enumerate()
             .map(move |(i, &v)| (base + i as EdgeId, v))
@@ -312,8 +332,9 @@ impl DiGraph {
     pub fn edges_with_ids(&self) -> impl Iterator<Item = (EdgeId, VertexId, VertexId)> + '_ {
         debug_assert!(self.overlay.is_none(), "edge ids index the base CSR");
         self.vertices().flat_map(move |u| {
-            let base = self.out_offsets[u as usize];
-            self.base_out(u)
+            let base = self.base.out_offsets[u as usize];
+            self.base
+                .out_row(u)
                 .iter()
                 .enumerate()
                 .map(move |(i, &v)| (base + i as EdgeId, u, v))
@@ -329,12 +350,14 @@ impl DiGraph {
     /// mainly useful for tests and for feeding forward-only third-party code.
     pub fn reversed(&self) -> DiGraph {
         DiGraph {
-            out_offsets: self.in_offsets.clone(),
-            out_targets: self.in_sources.clone(),
-            in_offsets: self.out_offsets.clone(),
-            in_sources: self.out_targets.clone(),
+            base: Arc::new(Csr {
+                out_offsets: self.base.in_offsets.clone(),
+                out_targets: self.base.in_sources.clone(),
+                in_offsets: self.base.out_offsets.clone(),
+                in_sources: self.base.out_targets.clone(),
+            }),
             overlay: self.overlay.as_ref().map(|o| {
-                Box::new(Overlay {
+                Arc::new(Overlay {
                     out: o.inc.clone(),
                     inc: o.out.clone(),
                     edge_count: o.edge_count,
@@ -363,8 +386,9 @@ impl DiGraph {
     /// Approximate heap footprint of the CSR arrays (plus any overlay) in
     /// bytes.
     pub fn memory_bytes(&self) -> usize {
-        (self.out_offsets.len() + self.in_offsets.len()) * std::mem::size_of::<u32>()
-            + (self.out_targets.len() + self.in_sources.len()) * std::mem::size_of::<VertexId>()
+        let base = &self.base;
+        (base.out_offsets.len() + base.in_offsets.len()) * std::mem::size_of::<u32>()
+            + (base.out_targets.len() + base.in_sources.len()) * std::mem::size_of::<VertexId>()
             + self
                 .overlay
                 .as_ref()
@@ -387,26 +411,29 @@ impl DiGraph {
             return Ok(0);
         }
         let n = self.vertex_count();
-        let mut overlay = self.overlay.take().unwrap_or_else(|| {
-            Box::new(Overlay {
+        let base = &self.base;
+        let mut shared = self.overlay.take().unwrap_or_else(|| {
+            Arc::new(Overlay {
                 out: PatchSide::new(n),
                 inc: PatchSide::new(n),
-                edge_count: self.out_targets.len(),
+                edge_count: base.out_targets.len(),
             })
         });
+        // Copy-on-write: a clone still holding this overlay keeps its rows.
+        let overlay = Arc::make_mut(&mut shared);
         let mut applied = 0usize;
         for d in deltas {
             let present = match overlay.out.row(d.source) {
                 Some(row) => row.binary_search(&d.target).is_ok(),
-                None => self.base_out(d.source).binary_search(&d.target).is_ok(),
+                None => base.out_row(d.source).binary_search(&d.target).is_ok(),
             };
             match d.op {
                 DeltaOp::Add if !present => {
-                    let row = overlay.out.row_mut(d.source, self.base_out(d.source));
+                    let row = overlay.out.row_mut(d.source, base.out_row(d.source));
                     if let Err(pos) = row.binary_search(&d.target) {
                         row.insert(pos, d.target);
                     }
-                    let row = overlay.inc.row_mut(d.target, self.base_in(d.target));
+                    let row = overlay.inc.row_mut(d.target, base.in_row(d.target));
                     if let Err(pos) = row.binary_search(&d.source) {
                         row.insert(pos, d.source);
                     }
@@ -414,11 +441,11 @@ impl DiGraph {
                     applied += 1;
                 }
                 DeltaOp::Remove if present => {
-                    let row = overlay.out.row_mut(d.source, self.base_out(d.source));
+                    let row = overlay.out.row_mut(d.source, base.out_row(d.source));
                     if let Ok(pos) = row.binary_search(&d.target) {
                         row.remove(pos);
                     }
-                    let row = overlay.inc.row_mut(d.target, self.base_in(d.target));
+                    let row = overlay.inc.row_mut(d.target, base.in_row(d.target));
                     if let Ok(pos) = row.binary_search(&d.source) {
                         row.remove(pos);
                     }
@@ -428,7 +455,7 @@ impl DiGraph {
                 _ => {}
             }
         }
-        self.overlay = Some(overlay);
+        self.overlay = Some(shared);
         Ok(applied)
     }
 
@@ -456,11 +483,12 @@ impl DiGraph {
             return false;
         };
         let n = self.vertex_count();
+        let base = &self.base;
         let mut out_offsets = Vec::with_capacity(n + 1);
         let mut out_targets = Vec::with_capacity(o.edge_count);
         out_offsets.push(0u32);
         for u in 0..n as VertexId {
-            let row = o.out.row(u).unwrap_or_else(|| self.base_out(u));
+            let row = o.out.row(u).unwrap_or_else(|| base.out_row(u));
             out_targets.extend_from_slice(row);
             out_offsets.push(out_targets.len() as u32);
         }
@@ -468,16 +496,19 @@ impl DiGraph {
         let mut in_sources = Vec::with_capacity(o.edge_count);
         in_offsets.push(0u32);
         for v in 0..n as VertexId {
-            let row = o.inc.row(v).unwrap_or_else(|| self.base_in(v));
+            let row = o.inc.row(v).unwrap_or_else(|| base.in_row(v));
             in_sources.extend_from_slice(row);
             in_offsets.push(in_sources.len() as u32);
         }
         debug_assert_eq!(out_targets.len(), o.edge_count);
         debug_assert_eq!(in_sources.len(), o.edge_count);
-        self.out_offsets = out_offsets;
-        self.out_targets = out_targets;
-        self.in_offsets = in_offsets;
-        self.in_sources = in_sources;
+        // Fresh arrays: a clone sharing the old base keeps it.
+        self.base = Arc::new(Csr {
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_sources,
+        });
         true
     }
 }
@@ -678,6 +709,48 @@ mod tests {
         }
         assert!(r.has_edge(0, 3));
         assert!(!r.has_edge(5, 2));
+    }
+
+    /// A clone shares its base rows, and mutating either side — a delta or
+    /// a compaction, with or without an overlay in place — never changes
+    /// what the other side observes.
+    #[test]
+    fn clone_is_shared_and_copy_on_write() {
+        let g = figure1_graph();
+        let c = g.clone();
+        for u in g.vertices() {
+            assert_eq!(g.out_neighbors(u).as_ptr(), c.out_neighbors(u).as_ptr());
+            assert_eq!(g.in_neighbors(u).as_ptr(), c.in_neighbors(u).as_ptr());
+        }
+        let original: Vec<_> = g.edges().collect();
+        let delta = [EdgeDelta::add(3, 0), EdgeDelta::remove(5, 1)];
+
+        // No overlay yet: a delta on the clone leaves the original alone.
+        let mut patched = g.clone();
+        patched.apply_delta(&delta).unwrap();
+        assert_eq!(g.edges().collect::<Vec<_>>(), original);
+        assert!(!g.is_overlaid());
+
+        // A shared overlay is copied before it is patched, either way round.
+        let snapshot = patched.clone();
+        let patched_edges: Vec<_> = patched.edges().collect();
+        patched.apply_delta(&[EdgeDelta::add(6, 0)]).unwrap();
+        assert_eq!(snapshot.edges().collect::<Vec<_>>(), patched_edges);
+        let mut other = snapshot.clone();
+        other.apply_delta(&[EdgeDelta::remove(0, 1)]).unwrap();
+        assert_eq!(snapshot.edges().collect::<Vec<_>>(), patched_edges);
+        assert!(patched.has_edge(6, 0) && !snapshot.has_edge(6, 0));
+        assert!(!other.has_edge(0, 1) && snapshot.has_edge(0, 1));
+
+        // Compacting one side leaves the other's overlay and base intact.
+        let mut folded = snapshot.clone();
+        assert!(folded.compact());
+        assert!(snapshot.is_overlaid());
+        assert_eq!(snapshot.edges().collect::<Vec<_>>(), patched_edges);
+        assert_eq!(folded.edges().collect::<Vec<_>>(), patched_edges);
+        let mut plain = g.clone();
+        assert!(!plain.compact());
+        assert_eq!(g.edges().collect::<Vec<_>>(), original);
     }
 
     #[test]

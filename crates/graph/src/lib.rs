@@ -60,9 +60,9 @@ pub use versioned::{GraphVersion, VersionedGraph};
 /// Sentinel distance meaning "unreachable / outside the search space".
 pub const INF_DIST: u32 = u32::MAX;
 
-// Concurrency audit: the batch executor in `spg-core` shares one `DiGraph`
-// across `std::thread::scope` workers and hands each worker private distance
-// / search-space buffers. Every one of these types is plain owned data
+// Concurrency audit: the batch executor in `spg-core` hands an O(1) clone of
+// one `DiGraph` to its long-lived drain workers and gives each worker
+// private distance / search-space buffers. Every one of these types is plain owned data
 // (`Vec`s, integers, hash maps keyed by ids) with no interior mutability, so
 // `Send + Sync` holds structurally; these compile-time asserts turn that
 // architectural assumption into a build error if a future refactor ever

@@ -12,7 +12,7 @@
 //!   --max-frame BYTES        frame payload cap             (default 1 MiB)
 //!   --rate R                 per-tenant requests/second    (default off)
 //!   --burst B                per-tenant burst tokens       (default 64)
-//!   --threads N              batch worker threads          (default auto)
+//!   --threads N              parked drain workers          (default auto; 1: drain on the batcher)
 //!   --cache-bytes BYTES      result cache budget           (default 64 MiB)
 //! ```
 //!

@@ -118,7 +118,10 @@ pub struct ServerConfig {
     pub rate_per_sec: f64,
     /// Per-tenant burst capacity (tokens).
     pub burst: f64,
-    /// Worker threads per batch drain (0 = available parallelism).
+    /// Drain workers (0 = available parallelism). The batcher's executor
+    /// starts this many threads on its first multi-worker drain, parks
+    /// them between drains and wakes up to this many per drain; at 1 the
+    /// batcher drains on its own thread.
     pub threads: usize,
     /// Byte budget of the shared result cache.
     pub cache_bytes: usize,
