@@ -15,7 +15,7 @@
 //! `G^k_st` serves as an alternative (looser) search space for PathEnum and
 //! JOIN.
 
-use spg_graph::{DiGraph, DistanceIndex, DistanceStrategy, EdgeSubgraph, VertexId};
+use spg_graph::{DiGraph, DistanceStrategy, EdgeSubgraph, FlatDistances, VertexId, INF_DIST};
 
 /// Work counters of one `G^k_st` construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,7 +45,8 @@ fn build(
     k: u32,
     strategy: DistanceStrategy,
 ) -> (EdgeSubgraph, KhsqStats) {
-    let dist = DistanceIndex::compute(g, s, t, k, strategy);
+    let mut dist = FlatDistances::new();
+    dist.compute(g, s, t, k, strategy);
     let mut stats = KhsqStats {
         distance_edge_scans: dist.stats().total_edge_scans(),
         ..Default::default()
@@ -54,10 +55,15 @@ fn build(
         return (EdgeSubgraph::new(), stats);
     }
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    for u in dist.space_vertices() {
+    for &u in dist.forward_seen() {
+        let du = dist.dist_from_s(u);
+        if du == INF_DIST {
+            continue;
+        }
         for &v in g.out_neighbors(u) {
             stats.materialise_edge_scans += 1;
-            if dist.edge_in_space(u, v) {
+            let dv = dist.dist_to_t(v);
+            if dv != INF_DIST && du + 1 + dv <= k {
                 edges.push((u, v));
             }
         }
@@ -73,6 +79,8 @@ mod tests {
     use crate::dfs::naive_dfs;
     use crate::sink::EdgeUnion;
     use spg_graph::generators::gnm_random;
+    use spg_graph::traversal::BfsOptions;
+    use spg_graph::{bfs_distances_from, bfs_distances_to};
 
     #[test]
     fn khsq_and_khsq_plus_produce_the_same_subgraph() {
@@ -108,9 +116,11 @@ mod tests {
         let g = gnm_random(40, 200, 3);
         let k = 5;
         let (gkst, stats) = khsq_plus(&g, 0, 39, k);
-        let dist = DistanceIndex::compute(&g, 0, 39, k, DistanceStrategy::Single);
+        let from_s = bfs_distances_from(&g, 0, BfsOptions::bounded_avoiding(k, 39));
+        let to_t = bfs_distances_to(&g, 39, BfsOptions::bounded_avoiding(k, 0));
+        assert!(!gkst.is_empty());
         for &(u, v) in gkst.edges() {
-            assert!(dist.dist_from_s(u) + 1 + dist.dist_to_t(v) <= k);
+            assert!(from_s[&u] + 1 + to_t[&v] <= k);
         }
         assert_eq!(stats.subgraph_edges, gkst.edge_count());
         assert!(stats.distance_edge_scans > 0);

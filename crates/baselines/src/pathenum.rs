@@ -9,7 +9,8 @@
 //! workspace substrate:
 //!
 //! * the index is the distance-filtered search space
-//!   `{e(u,v) : Δ(s,u) + 1 + Δ(v,t) ≤ k}` materialised as a [`DiGraph`];
+//!   `{e(u,v) : Δ(s,u) + 1 + Δ(v,t) ≤ k}` (`G^k_st`, built by
+//!   [`crate::khsq::khsq_plus`]) materialised as a [`DiGraph`];
 //! * cardinalities are estimated with a walk-count dynamic program over the
 //!   index (number of length-bounded walks, an upper bound on the number of
 //!   partial simple paths each plan materialises);
@@ -17,10 +18,11 @@
 //!   the index, the join plan runs [`crate::join::join_enumerate`] on it.
 
 use spg_graph::hash::FxHashMap;
-use spg_graph::{DiGraph, DistanceIndex, DistanceStrategy, EdgeSubgraph, VertexId};
+use spg_graph::{DiGraph, VertexId};
 
 use crate::dfs::pruned_dfs;
 use crate::join::join_enumerate_with_stats;
+use crate::khsq::khsq_plus;
 use crate::sink::PathSink;
 
 /// Evaluation plan selected by the cost model.
@@ -49,20 +51,7 @@ impl PathEnumIndex {
     /// Builds the index for query `⟨s, t, k⟩` on `g`.
     pub fn build(g: &DiGraph, s: VertexId, t: VertexId, k: u32) -> PathEnumIndex {
         assert!(s != t, "queries require distinct endpoints");
-        let dist = DistanceIndex::compute(g, s, t, k, DistanceStrategy::AdaptiveBidirectional);
-        let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-        let mut scans = 0usize;
-        if dist.is_feasible() {
-            for u in dist.space_vertices() {
-                for &v in g.out_neighbors(u) {
-                    scans += 1;
-                    if dist.edge_in_space(u, v) {
-                        edges.push((u, v));
-                    }
-                }
-            }
-        }
-        let subgraph = EdgeSubgraph::from_edges(edges);
+        let (subgraph, stats) = khsq_plus(g, s, t, k);
         let index_edges = subgraph.edge_count();
         let index_vertices = subgraph.vertex_count();
         PathEnumIndex {
@@ -72,7 +61,7 @@ impl PathEnumIndex {
             index_graph: subgraph.to_graph(g.vertex_count()),
             index_edges,
             index_vertices,
-            build_scans: scans,
+            build_scans: stats.materialise_edge_scans,
         }
     }
 

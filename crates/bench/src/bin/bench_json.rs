@@ -5,9 +5,8 @@
 //! arch/os platform) so single-core-container caveats are machine-readable,
 //! plus four sections per suite:
 //!
-//! * **variants** — per-query median latency of the legacy hash-map pipeline
-//!   (`query_reference`), the flat pipeline on a fresh workspace (`query`)
-//!   and the flat pipeline on one warm workspace (`query_with`), plus
+//! * **variants** — per-query median latency of the pipeline on a fresh
+//!   workspace (`query`) and on one warm workspace (`query_with`), plus
 //!   per-phase ns, edges/sec and workspace bytes (the PR-2 trajectory);
 //! * **thread_scaling** — whole-batch wall time of `BatchExecutor::run` at
 //!   each thread count of the ladder (default the rungs of 1/2/4/8 that do
@@ -869,7 +868,6 @@ struct SuiteResult {
     vertices: usize,
     edges: usize,
     query_count: usize,
-    legacy_median_ns: u64,
     cold_median_ns: u64,
     warm_median_ns: u64,
     phase_ns: PhaseTimings,
@@ -894,20 +892,20 @@ fn run_suite(name: &'static str, g: DiGraph, args: &Args, thread_counts: &[usize
     // (lazy page zeroing, branch predictors) do not skew the first samples.
     let mut ws = QueryWorkspace::new();
     for &q in &queries {
-        let _ = eve.query_reference(q).unwrap();
+        let _ = eve.query(q).unwrap();
         let _ = eve.query_with(&mut ws, q).unwrap();
     }
 
-    let (mut legacy, legacy_edges, _) = sample(&queries, args.repeats, |q| {
-        eve.query_reference(q).unwrap().edge_count()
-    });
-    let (mut cold, _, _) = sample(&queries, args.repeats, |q| {
+    let (mut cold, cold_edges, _) = sample(&queries, args.repeats, |q| {
         eve.query(q).unwrap().edge_count()
     });
     let (mut warm, warm_edges, warm_total) = sample(&queries, args.repeats, |q| {
         eve.query_with(&mut ws, q).unwrap().edge_count()
     });
-    assert_eq!(legacy_edges, warm_edges, "{name}: pipelines disagree");
+    assert_eq!(
+        cold_edges, warm_edges,
+        "{name}: fresh and warm workspaces disagree"
+    );
 
     // Per-phase breakdown: mean over one warm pass, from the recorded stats.
     let mut phase = PhaseTimings::default();
@@ -988,7 +986,6 @@ fn run_suite(name: &'static str, g: DiGraph, args: &Args, thread_counts: &[usize
         vertices: vg.vertex_count(),
         edges: vg.edge_count(),
         query_count: queries.len(),
-        legacy_median_ns: median_ns(&mut legacy),
         cold_median_ns: median_ns(&mut cold),
         warm_median_ns: median_ns(&mut warm),
         phase_ns: phase,
@@ -1033,7 +1030,6 @@ fn render_json(results: &[SuiteResult]) -> String {
     out.push_str(&hardware_json());
     out.push_str("  \"suites\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let speedup = r.legacy_median_ns as f64 / r.warm_median_ns.max(1) as f64;
         out.push_str(&format!(
             concat!(
                 "    {{\n",
@@ -1041,10 +1037,8 @@ fn render_json(results: &[SuiteResult]) -> String {
                 "      \"vertices\": {},\n",
                 "      \"edges\": {},\n",
                 "      \"queries\": {},\n",
-                "      \"legacy_median_ns\": {},\n",
                 "      \"cold_median_ns\": {},\n",
                 "      \"warm_median_ns\": {},\n",
-                "      \"speedup_warm_vs_legacy\": {:.2},\n",
                 "      \"phase_ns\": {{\"distance\": {}, \"propagation\": {}, ",
                 "\"labeling\": {}, \"verification\": {}}},\n",
                 "      \"spg_edges_per_sec\": {:.0},\n",
@@ -1056,10 +1050,8 @@ fn render_json(results: &[SuiteResult]) -> String {
             r.vertices,
             r.edges,
             r.query_count,
-            r.legacy_median_ns,
             r.cold_median_ns,
             r.warm_median_ns,
-            speedup,
             r.phase_ns.distance.as_nanos(),
             r.phase_ns.propagation.as_nanos(),
             r.phase_ns.labeling.as_nanos(),
@@ -1285,13 +1277,8 @@ fn main() {
     ];
     for r in &results {
         eprintln!(
-            "{}: legacy {} ns, cold {} ns, warm {} ns ({:.2}x vs legacy), workspace {} bytes",
-            r.name,
-            r.legacy_median_ns,
-            r.cold_median_ns,
-            r.warm_median_ns,
-            r.legacy_median_ns as f64 / r.warm_median_ns.max(1) as f64,
-            r.peak_workspace_bytes,
+            "{}: cold {} ns, warm {} ns, workspace {} bytes",
+            r.name, r.cold_median_ns, r.warm_median_ns, r.peak_workspace_bytes,
         );
         for s in &r.scaling {
             eprintln!(

@@ -1,19 +1,20 @@
-//! Flat, allocation-free re-implementation of the EVE phases on the
-//! compacted [`SearchSpace`].
+//! The EVE phases 1b–3 on the compacted [`SearchSpace`], in flat,
+//! allocation-free buffers.
 //!
-//! This module is the hot path behind [`crate::Eve::query_with`]. It mirrors
-//! the reference implementations ([`crate::propagation`], [`crate::labeling`],
-//! [`crate::verification`]) phase by phase but replaces every per-query hash
-//! map with flat `Vec`s indexed by dense local vertex id:
+//! This module is the pipeline behind every [`crate::Eve`] entry point.
+//! Every container is indexed by dense local vertex id:
 //!
-//! * [`FlatPropagation`] — Algorithm 1 over per-level rows of arena handles.
-//!   Level `l` inherits level `l−1` by a row copy, so `ev(l, v)` is a single
-//!   O(1) array load instead of a descending-level hash-map scan. Essential
-//!   vertex sets live in one bump arena (`Vec<u32>`), referenced by packed
-//!   `(offset, len)` handles — no per-set heap allocation, no clone traffic.
-//! * [`FlatUpperBound`] — Algorithm 2 over the space CSR, emitting the
+//! * [`FlatPropagation`] — Algorithm 1 (§3.2) with the forward-looking
+//!   pruning of Theorem 3.6, over per-level rows of arena handles. Level `l`
+//!   inherits level `l−1` by a row copy, so `ev(l, v)` is a single O(1)
+//!   array load. Essential vertex sets (Definition 3.1) are tiny sorted
+//!   `u32` runs in one bump arena, referenced by packed `(offset, len)`
+//!   handles — no per-set heap allocation, no clone traffic.
+//! * [`FlatUpperBound`] — Algorithm 2 (§4) over the space CSR, emitting the
 //!   `SPGᵘ_k` edges in sorted order with a local CSR of both directions in
-//!   which every adjacency entry carries its dense edge id.
+//!   which every adjacency entry carries its dense edge id, plus the
+//!   departure and arrival sets of §5.1 with at most `k − 2` valid
+//!   neighbours each (Theorem 5.8).
 //! * [`apply_search_ordering_flat`] / [`verify_flat`] — §5.3 ordering and
 //!   Algorithm 3 over the flat adjacency, with the verification result kept
 //!   as a bitmap over dense edge ids (the covered-by-witness test becomes a
@@ -21,16 +22,27 @@
 //!
 //! Every container is a reusable buffer owned by
 //! [`crate::workspace::QueryWorkspace`]; after warm-up a query performs
-//! (amortised) zero heap allocation in these phases. Determinism matches the
-//! reference implementation exactly — local ids are assigned in ascending
-//! global order, so iteration order, tie-breaking and therefore every output
-//! edge set and work counter that the answer depends on are identical.
+//! (amortised) zero heap allocation in these phases. Local ids are assigned
+//! in ascending global order, so iteration order, tie-breaking and therefore
+//! every output edge set are deterministic.
+//!
+//! ### Deviation from the paper's pseudo-code
+//!
+//! Algorithm 1 as printed re-initialises `EV_l(s, y)` from the first frontier
+//! in-neighbour alone (its line 7) and never intersects with `EV_{l−1}(s, y)`
+//! itself. When a vertex has an in-neighbour that was reached at an earlier
+//! level but is *not* part of the current frontier, that in-neighbour's
+//! contribution would be lost and the computed set could become a strict
+//! superset of Equation (4) — which would make Theorem 3.4 discard edges that
+//! actually belong to `SPG_k`. [`FlatPropagation`] therefore additionally
+//! intersects with the vertex's previous-level set, which yields exactly the
+//! Equation (4) value (the module tests compare against a brute-force
+//! evaluation of Definition 3.1 on enumerated simple paths, and against the
+//! paper's Figure 5 table).
 
 use spg_graph::{BudgetExhausted, Direction, QueryBudget, SearchSpace};
 
-use crate::labeling::LabelingStats;
-use crate::propagation::PropagationStats;
-use crate::verification::VerificationStats;
+use crate::stats::{LabelingStats, PropagationStats, VerificationStats};
 
 /// DFS steps accumulated locally before each budget poll during
 /// verification. Keeps the poll off the per-step hot path while bounding
@@ -90,8 +102,8 @@ fn alloc_with(arena: &mut Vec<u32>, a: u64, extra: u32) -> u64 {
     pack(start, arena.len() - start)
 }
 
-/// Appends the fused propagation operator `a ∩ (b ∪ {extra})` to the arena —
-/// the same single-pass merge as [`crate::EvSet::intersect_with_added`].
+/// Appends the fused propagation operator `a ∩ (b ∪ {extra})` to the arena
+/// in a single merge pass, so no temporary union is ever materialised.
 fn alloc_intersect_with_added(arena: &mut Vec<u32>, a: u64, b: u64, extra: u32) -> u64 {
     let (sa, la) = unpack(a);
     let (sb, lb) = unpack(b);
@@ -170,8 +182,8 @@ impl FlatPropagation {
     /// Forward propagation starts at the source and prunes on `Δ(y, t)`;
     /// backward propagation starts at the target and prunes on `Δ(s, y)`.
     /// Restricting the walk to the space CSR is itself a (structural) form of
-    /// the Theorem 3.6 rule, so the sets any downstream consumer is allowed
-    /// to consult are identical to the reference implementation's.
+    /// the Theorem 3.6 rule: every set a downstream consumer is allowed to
+    /// consult equals its Definition 3.1 value.
     #[cfg(test)]
     pub(crate) fn run(&mut self, space: &SearchSpace, dir: Direction, forward_looking: bool) {
         self.run_budgeted(space, dir, forward_looking, &QueryBudget::unlimited())
@@ -256,7 +268,7 @@ impl FlatPropagation {
                         let prev_y = self.refs[prev_base + y as usize];
                         self.refs[slot] = if prev_y != NONE_REF {
                             // Seed with the previous-level set of `y` itself
-                            // (see the deviation note in `propagation`).
+                            // (see the deviation note in the module docs).
                             alloc_intersect_with_added(&mut self.arena, prev_y, ev_x, y)
                         } else {
                             alloc_with(&mut self.arena, ev_x, y)
@@ -329,15 +341,18 @@ impl FlatPropagation {
 // Phase 2: edge labeling / upper-bound graph on the space CSR
 // ---------------------------------------------------------------------------
 
-/// Outcome of labeling one edge (flat-pipeline mirror of
-/// [`crate::labeling::EdgeLabel`] plus departure/arrival qualification).
+/// Outcome of labeling one edge: failing (label "0", Theorem 3.4),
+/// undetermined (label "1") or definite (label "2", Lemmas 4.4 and 4.6),
+/// with the definite edge's departure/arrival qualification (§5.1).
 enum FlatLabel {
     Failing,
     Undetermined,
     Definite { departure: bool, arrival: bool },
 }
 
-/// Per-edge Algorithm 2 on local ids; mirrors `labeling::EdgeLabeler::label`.
+/// Per-edge Algorithm 2 on local ids. `EV*_l(s, u)` exists iff
+/// `Δ(s, u) ≤ l`, and `EV*_l(v, t)` iff `Δ(v, t) ≤ l`, so existence is read
+/// off the space's distances.
 fn label_edge(
     space: &SearchSpace,
     fwd: &FlatPropagation,
@@ -523,7 +538,7 @@ impl FlatUpperBound {
         self.arr_slot.resize(n, NONE32);
 
         // Space vertices are iterated in ascending local (== global) order,
-        // so the edge list comes out sorted exactly like the reference.
+        // so the edge list comes out sorted.
         let mut charged_edges = 0usize;
         for u in 0..n as u32 {
             if let Err(e) = budget.charge((self.stats.edges_examined - charged_edges) as u64) {
@@ -872,9 +887,11 @@ where
     }
 }
 
-/// Applies the §5.3 search-ordering strategy to the flat adjacency lists —
-/// the local-id mirror of [`crate::verification::apply_search_ordering`].
-/// Ties break on local id, which preserves global-id order.
+/// Applies the §5.3 search-ordering strategy to the flat adjacency lists:
+/// out-neighbours by ascending distance to the closest arrival, ties broken
+/// by larger `|Out_A|` first; in-neighbours by ascending distance from the
+/// closest departure, ties broken by larger `|In_D|` first. Remaining ties
+/// break on local id, which preserves global-id order.
 pub(crate) fn apply_search_ordering_flat(ub: &mut FlatUpperBound, scratch: &mut OrderScratch) {
     let n = ub.vertex_count();
     scratch.dist_to_arrival.clear();
@@ -966,7 +983,7 @@ impl VerifyScratch {
 
 /// Verifies every undetermined edge (Algorithm 3) over the flat upper bound.
 /// After the call, `scratch.result()[eid]` tells whether edge `eid` belongs
-/// to `SPG_k`. The local-id mirror of [`crate::verification::verify_undetermined`].
+/// to `SPG_k`. A witness found for one edge confirms every edge on it.
 #[cfg(test)]
 pub(crate) fn verify_flat(ub: &FlatUpperBound, scratch: &mut VerifyScratch) -> VerificationStats {
     verify_flat_budgeted(ub, scratch, &QueryBudget::unlimited())
@@ -1180,63 +1197,274 @@ impl FlatVerifier<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::paper_example::{self, names::*};
-    use crate::propagation::Propagation;
     use crate::query::Query;
-    use spg_graph::{DiGraph, DistanceIndex, DistanceStrategy};
+    use spg_graph::{DiGraph, DistanceStrategy, FlatDistances, SpaceScratch, VertexId};
 
+    /// The compacted search space of `q`, built as the pipeline builds it.
     fn space_for(g: &DiGraph, q: Query) -> SearchSpace {
-        let idx = DistanceIndex::compute(
+        let mut dist = FlatDistances::new();
+        dist.compute(
             g,
             q.source,
             q.target,
             q.k,
             DistanceStrategy::AdaptiveBidirectional,
         );
-        SearchSpace::build(g, &idx)
+        let mut space = SearchSpace::new();
+        space.rebuild_from_flat(g, &dist, &mut SpaceScratch::new());
+        space
     }
 
-    /// The flat propagation must agree with the reference propagation on
-    /// every set the labeling phase is allowed to consult (Theorem 3.6).
-    #[test]
-    fn flat_propagation_matches_reference_on_consultable_sets() {
-        let g = paper_example::figure1_graph();
-        for k in 2..=8u32 {
-            let q = Query::new(S, T, k);
-            let idx = DistanceIndex::compute(&g, S, T, k, DistanceStrategy::AdaptiveBidirectional);
-            let space = SearchSpace::build(&g, &idx);
-            let reference = Propagation::forward(&g, q, &idx, true);
-            let mut flat = FlatPropagation::default();
-            flat.run(&space, Direction::Forward, true);
-            for local in 0..space.vertex_count() as u32 {
-                let v = space.global(local);
-                let dv = idx.dist_to_t(v);
-                for l in 1..k {
-                    if l + dv > k {
-                        continue; // not consultable under pruning
-                    }
-                    let expected: Option<Vec<u32>> = reference.ev(l, v).map(|s| {
-                        s.as_slice()
-                            .iter()
-                            .map(|&x| space.local_of(x).expect("EV members stay in space"))
-                            .collect()
-                    });
-                    let got: Option<Vec<u32>> = flat.ev(l, local).map(|s| s.to_vec());
-                    assert_eq!(got, expected, "k={k} l={l} v={v}");
-                }
-            }
-            assert!(flat.stats().edge_scans > 0);
-            assert!(flat.memory_bytes() > 0);
-            assert!(flat.retained_bytes() >= flat.memory_bytes());
+    /// Phases 1 and 2 of one query on fresh buffers.
+    struct Phases {
+        space: SearchSpace,
+        fwd: FlatPropagation,
+        bwd: FlatPropagation,
+        ub: FlatUpperBound,
+    }
+
+    fn phases(g: &DiGraph, q: Query, pruning: bool) -> Phases {
+        let space = space_for(g, q);
+        let mut fwd = FlatPropagation::default();
+        let mut bwd = FlatPropagation::default();
+        fwd.run(&space, Direction::Forward, pruning);
+        bwd.run(&space, Direction::Backward, pruning);
+        let mut ub = FlatUpperBound::default();
+        ub.build(&space, &fwd, &bwd);
+        Phases {
+            space,
+            fwd,
+            bwd,
+            ub,
         }
     }
 
-    /// Arena set operators match the EvSet reference operators.
+    /// `EV_l` of global vertex `v` as sorted global ids; `None` if `v` has
+    /// no set at level `l` or lies outside the space.
+    fn ev(p: &FlatPropagation, space: &SearchSpace, l: u32, v: VertexId) -> Option<Vec<VertexId>> {
+        let local = space.local_of(v)?;
+        p.ev(l, local)
+            .map(|set| set.iter().map(|&x| space.global(x)).collect())
+    }
+
+    fn sorted(mut v: Vec<VertexId>) -> Vec<VertexId> {
+        v.sort_unstable();
+        v
+    }
+
+    /// Every simple path from the top of `stack` to `goal` within `budget`
+    /// more hops, never entering `excluded`.
+    fn collect_paths(
+        g: &DiGraph,
+        goal: VertexId,
+        excluded: VertexId,
+        budget: u32,
+        stack: &mut Vec<VertexId>,
+        out: &mut Vec<Vec<VertexId>>,
+    ) {
+        let cur = *stack.last().unwrap();
+        if cur == goal {
+            out.push(stack.clone());
+            return;
+        }
+        if budget == 0 {
+            return;
+        }
+        for &nxt in g.out_neighbors(cur) {
+            if nxt == excluded || stack.contains(&nxt) {
+                continue;
+            }
+            stack.push(nxt);
+            collect_paths(g, goal, excluded, budget - 1, stack, out);
+            stack.pop();
+        }
+    }
+
+    /// Definition 3.1 evaluated literally: the intersection of the vertex
+    /// sets of every simple `s → v` path of length ≤ `l` that avoids `t`.
+    fn brute_force_ev(
+        g: &DiGraph,
+        s: VertexId,
+        v: VertexId,
+        t: VertexId,
+        l: u32,
+    ) -> Option<Vec<VertexId>> {
+        let mut paths = Vec::new();
+        collect_paths(g, v, t, l, &mut vec![s], &mut paths);
+        paths
+            .into_iter()
+            .map(sorted)
+            .reduce(|acc, p| acc.into_iter().filter(|x| p.contains(x)).collect())
+    }
+
+    /// `SPG_k(s, t)` by exhaustive DFS: the union of the edges of every
+    /// simple `s → t` path of length ≤ `k`, sorted.
+    pub(crate) fn brute_force_spg(
+        g: &DiGraph,
+        s: VertexId,
+        t: VertexId,
+        k: u32,
+    ) -> Vec<(VertexId, VertexId)> {
+        let mut paths = Vec::new();
+        collect_paths(g, t, s, k, &mut vec![s], &mut paths);
+        let mut edges: Vec<(VertexId, VertexId)> = paths
+            .iter()
+            .flat_map(|p| p.windows(2).map(|w| (w[0], w[1])))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
+
+    /// Figure 5(a): forward essential vertices of the running example (the
+    /// entries the paper reports as computed), with pruning off and on.
+    #[test]
+    fn figure5a_forward_essential_vertices() {
+        let g = paper_example::figure1_graph();
+        for pruning in [false, true] {
+            let Phases { space, fwd: p, .. } = phases(&g, Query::new(S, T, 8), pruning);
+            // l = 1
+            assert_eq!(ev(&p, &space, 1, A), Some(sorted(vec![S, A])));
+            assert_eq!(ev(&p, &space, 1, C), Some(sorted(vec![S, C])));
+            assert_eq!(ev(&p, &space, 1, B), None);
+            assert_eq!(ev(&p, &space, 1, J), None);
+            // l = 2
+            assert_eq!(ev(&p, &space, 2, B), Some(sorted(vec![S, C, B])));
+            assert_eq!(ev(&p, &space, 2, H), Some(sorted(vec![S, A, H])));
+            assert_eq!(ev(&p, &space, 2, I), Some(sorted(vec![S, A, I])));
+            assert_eq!(ev(&p, &space, 2, A), Some(sorted(vec![S, A])));
+            // l = 3
+            assert_eq!(ev(&p, &space, 3, B), Some(sorted(vec![S, B])));
+            assert_eq!(ev(&p, &space, 3, J), Some(sorted(vec![S, J])));
+            assert_eq!(ev(&p, &space, 3, H), Some(sorted(vec![S, A, H])));
+            // l = 4
+            assert_eq!(ev(&p, &space, 4, H), Some(sorted(vec![S, H])));
+            assert_eq!(ev(&p, &space, 4, C), Some(sorted(vec![S, C])));
+            assert_eq!(ev(&p, &space, 4, B), Some(sorted(vec![S, B])));
+        }
+    }
+
+    /// Figure 5(b): backward essential vertices of the running example, with
+    /// pruning off and on.
+    #[test]
+    fn figure5b_backward_essential_vertices() {
+        let g = paper_example::figure1_graph();
+        for pruning in [false, true] {
+            let Phases { space, bwd: p, .. } = phases(&g, Query::new(S, T, 8), pruning);
+            // l = 1
+            assert_eq!(ev(&p, &space, 1, B), Some(sorted(vec![B, T])));
+            assert_eq!(ev(&p, &space, 1, C), Some(sorted(vec![C, T])));
+            assert_eq!(ev(&p, &space, 1, A), None);
+            // l = 2
+            assert_eq!(ev(&p, &space, 2, A), Some(sorted(vec![A, C, T])));
+            assert_eq!(ev(&p, &space, 2, H), Some(sorted(vec![H, B, T])));
+            assert_eq!(ev(&p, &space, 2, I), None);
+            // l = 3
+            assert_eq!(ev(&p, &space, 3, A), Some(sorted(vec![A, T])));
+            assert_eq!(ev(&p, &space, 3, J), Some(sorted(vec![J, H, B, T])));
+            // l = 4
+            assert_eq!(ev(&p, &space, 4, I), Some(sorted(vec![I, J, H, B, T])));
+            assert_eq!(ev(&p, &space, 4, H), Some(sorted(vec![H, B, T])));
+        }
+    }
+
+    /// Example 3.2 of the paper: EV*_2(s,b) = {s,c,b} and EV*_3(s,b) = {s,b}.
+    #[test]
+    fn example_3_2_matches() {
+        let g = paper_example::figure1_graph();
+        let Phases { space, fwd, .. } = phases(&g, Query::new(S, T, 6), false);
+        assert_eq!(ev(&fwd, &space, 2, B), Some(sorted(vec![S, C, B])));
+        assert_eq!(ev(&fwd, &space, 3, B), Some(sorted(vec![S, B])));
+    }
+
+    /// Example 3.7: with k = 7, Δ(i, t) = 4, so the pruned propagation skips
+    /// every visit of i past level 3 and EV_6(s, i) stays {s, a, i}.
+    #[test]
+    fn example_3_7_pruning_skips_vertex_i() {
+        let g = paper_example::figure1_graph();
+        let Phases { space, fwd, .. } = phases(&g, Query::new(S, T, 7), true);
+        assert_eq!(space.dist_to_t(space.local_of(I).unwrap()), 4);
+        assert_eq!(ev(&fwd, &space, 6, I), Some(sorted(vec![S, A, I])));
+        assert!(fwd.stats().pruned_visits > 0);
+    }
+
+    /// Essential vertex sets shrink (or stay equal) as the level grows, and
+    /// never contain the opposite endpoint.
+    #[test]
+    fn levels_are_monotonically_shrinking() {
+        let g = paper_example::figure1_graph();
+        let q = Query::new(S, T, 8);
+        let Phases {
+            space, fwd, bwd, ..
+        } = phases(&g, q, false);
+        for (p, excluded) in [(&fwd, T), (&bwd, S)] {
+            for v in g.vertices() {
+                for l in 1..q.k {
+                    let curr = ev(p, &space, l, v);
+                    if let Some(set) = &curr {
+                        assert!(!set.contains(&excluded), "EV_{l}({v}) = {set:?}");
+                    }
+                    if let (Some(prev), Some(curr)) = (ev(p, &space, l - 1, v), curr) {
+                        assert!(
+                            curr.iter().all(|x| prev.contains(x)),
+                            "EV_{l}({v}) = {curr:?} must be ⊆ EV_{}({v}) = {prev:?}",
+                            l - 1
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Brute-force check of Theorem 3.5 / Definition 3.1: with pruning off
+    /// and on, every set the labeling phase may consult (`l + Δ(v,t) ≤ k`,
+    /// Theorem 3.6) equals the intersection of the vertex sets of all
+    /// enumerated simple paths that avoid `t`.
+    #[test]
+    fn propagation_matches_bruteforce_definition_on_random_graphs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2023);
+        let mut checked = 0usize;
+        for case in 0..25 {
+            let n: usize = rng.gen_range(5..11);
+            let m = rng.gen_range(n..(n * (n - 1)).min(3 * n));
+            let g = spg_graph::generators::gnm_random(n, m, 100 + case);
+            let s = 0u32;
+            let t = (n as u32) - 1;
+            let k = rng.gen_range(3..7) as u32;
+            for pruning in [false, true] {
+                let Phases { space, fwd, .. } = phases(&g, Query::new(s, t, k), pruning);
+                for local in 0..space.vertex_count() as u32 {
+                    let v = space.global(local);
+                    if v == s || v == t {
+                        continue;
+                    }
+                    for l in (1..k).filter(|&l| l + space.dist_to_t(local) <= k) {
+                        assert_eq!(
+                            ev(&fwd, &space, l, v),
+                            brute_force_ev(&g, s, v, t, l),
+                            "case {case} pruning={pruning}: EV_{l}(s,{v})"
+                        );
+                        checked += 1;
+                    }
+                }
+                if !space.is_empty() {
+                    assert!(fwd.stats().edge_scans > 0);
+                    assert!(fwd.memory_bytes() > 0);
+                    assert!(fwd.retained_bytes() >= fwd.memory_bytes());
+                }
+            }
+        }
+        assert!(checked > 200, "only {checked} sets checked");
+    }
+
+    /// Arena set operators match the set algebra on plain sorted vectors.
     #[test]
     fn arena_operators_match_evset() {
-        use crate::evset::EvSet;
         let cases: Vec<(Vec<u32>, Vec<u32>, u32)> = vec![
             (vec![0, 2, 5, 9], vec![2, 9], 5),
             (vec![0, 2, 5, 9], vec![], 5),
@@ -1256,14 +1484,25 @@ mod tests {
                 arena.extend_from_slice(&b);
                 pack(start, b.len())
             };
+            // a ∩ (b ∪ {extra})
             let fused = alloc_intersect_with_added(&mut arena, ra, rb, extra);
-            let sa = EvSet::from_vertices(a.iter().copied());
-            let sb = EvSet::from_vertices(b.iter().copied());
-            let expected = sa.intersect_with_added(&sb, extra);
+            let expected: Vec<u32> = a
+                .iter()
+                .copied()
+                .filter(|x| b.contains(x) || *x == extra)
+                .collect();
             assert_eq!(set_slice(&arena, fused), expected.as_slice());
 
+            // a ∪ {extra}
             let with = alloc_with(&mut arena, ra, extra);
-            assert_eq!(set_slice(&arena, with), sa.with(extra).as_slice());
+            let mut expected = a.clone();
+            expected.push(extra);
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(set_slice(&arena, with), expected.as_slice());
+
+            assert_eq!(sorted_contains(&a, extra), a.contains(&extra));
+            assert_eq!(sorted_disjoint(&a, &b), !a.iter().any(|x| b.contains(x)));
         }
         let mut arena = Vec::new();
         let s = alloc_singleton(&mut arena, 7);
@@ -1272,30 +1511,27 @@ mod tests {
         assert!(!refs_equal(&arena, s, NONE_REF));
     }
 
-    /// End-to-end flat pipeline on the Figure 1 example must reproduce the
-    /// Figure 6(c) labels and the Example 5.7 verification outcome.
+    /// End-to-end flat pipeline on the Figure 1 example at k = 7: the
+    /// Figure 6(c) labels (Examples 4.2, 4.5 and 4.7 among them) and the
+    /// Example 5.7 verification outcome.
     #[test]
     fn flat_pipeline_reproduces_figure_fixtures() {
         let g = paper_example::figure1_graph();
-        let q = Query::new(S, T, 7);
-        let space = space_for(&g, q);
-        let mut fwd = FlatPropagation::default();
-        let mut bwd = FlatPropagation::default();
-        fwd.run(&space, Direction::Forward, true);
-        bwd.run(&space, Direction::Backward, true);
-        let mut ub = FlatUpperBound::default();
-        ub.build(&space, &fwd, &bwd);
+        let Phases { space, ub, .. } = phases(&g, Query::new(S, T, 7), true);
 
         assert_eq!(ub.stats().edges_examined, 13);
         assert_eq!(ub.stats().failing, 1);
         assert_eq!(ub.edge_count(), 12);
 
-        let global_edges: Vec<(u32, u32)> = ub
-            .edges()
-            .iter()
-            .map(|&(u, v)| (space.global(u), space.global(v)))
+        let global = |eid: u32| {
+            let (u, v) = ub.edges()[eid as usize];
+            (space.global(u), space.global(v))
+        };
+        let definite: Vec<(VertexId, VertexId)> = (0..ub.edge_count() as u32)
+            .filter(|&eid| ub.definite_bits()[eid as usize])
+            .map(global)
             .collect();
-        let mut expected: Vec<(u32, u32)> = vec![
+        let mut expected_definite = vec![
             (S, A),
             (S, C),
             (A, C),
@@ -1305,23 +1541,39 @@ mod tests {
             (C, B),
             (H, B),
             (B, T),
-            (B, A),
-            (I, J),
-            (J, H),
         ];
-        expected.sort_unstable();
-        assert_eq!(global_edges, expected);
+        expected_definite.sort_unstable();
+        assert_eq!(definite, expected_definite);
+        let undetermined: Vec<(VertexId, VertexId)> = ub
+            .undetermined_eids()
+            .iter()
+            .map(|&eid| global(eid))
+            .collect();
+        // In ascending id order: b = 5, i = 6, j = 7.
+        assert_eq!(undetermined, vec![(B, A), (I, J), (J, H)]);
+        // Example 4.5 and 4.7: first- and second-hop edges are definite.
+        assert!(definite.contains(&(S, A)));
+        assert!(definite.contains(&(A, I)));
+        // (B, J) is the failing edge of Example 4.2.
+        assert!(!definite.contains(&(B, J)) && !undetermined.contains(&(B, J)));
 
+        // Both adjacency directions index every edge by its dense id.
+        for (eid, &(u, v)) in ub.edges().iter().enumerate() {
+            assert!(ub.out_entries_of(u).contains(&(v, eid as u32)));
+            assert!(ub.in_entries_of(v).contains(&(u, eid as u32)));
+        }
+        assert!(ub.out_entries_of(space.local_of(T).unwrap()).is_empty());
+
+        // Example 5.7: verifying e(i, j) finds the witness q* = {i, j, h},
+        // which also confirms e(j, h); e(b, a) is rejected (Lemma 3.3).
         let mut scratch = VerifyScratch::default();
         let stats = verify_flat(&ub, &mut scratch);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.confirmed, 2);
-        let confirmed: Vec<(u32, u32)> = ub
-            .edges()
-            .iter()
-            .zip(scratch.result())
-            .filter(|(_, &keep)| keep)
-            .map(|(&(u, v), _)| (space.global(u), space.global(v)))
+        assert!(stats.covered_by_witness >= 1);
+        let confirmed: Vec<(VertexId, VertexId)> = (0..ub.edge_count() as u32)
+            .filter(|&eid| scratch.result()[eid as usize])
+            .map(global)
             .collect();
         assert_eq!(confirmed.len(), 11);
         assert!(!confirmed.contains(&(B, A)));
@@ -1329,19 +1581,118 @@ mod tests {
         assert!(confirmed.contains(&(J, H)));
     }
 
+    /// Figure 7(b): departures with `In_D` and arrivals with `Out_A` for
+    /// k = 7.
+    #[test]
+    fn figure7b_departures_and_arrivals() {
+        let g = paper_example::figure1_graph();
+        let Phases { space, ub, .. } = phases(&g, Query::new(S, T, 7), true);
+        let to_global = |locals: &[u32]| sorted(locals.iter().map(|&x| space.global(x)).collect());
+        let local = |v: VertexId| space.local_of(v).unwrap();
+
+        let expected: Vec<VertexId> = paper_example::figure7b_departures()
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect();
+        assert_eq!(to_global(ub.departure_verts()), sorted(expected));
+        for (v, in_d) in paper_example::figure7b_departures() {
+            assert_eq!(
+                to_global(ub.in_d(local(v))),
+                in_d,
+                "In_D({})",
+                paper_example::names::label(v)
+            );
+        }
+        let expected: Vec<VertexId> = paper_example::figure7b_arrivals()
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect();
+        assert_eq!(to_global(ub.arrival_verts()), sorted(expected));
+        for (v, out_a) in paper_example::figure7b_arrivals() {
+            assert_eq!(
+                to_global(ub.out_a(local(v))),
+                out_a,
+                "Out_A({})",
+                paper_example::names::label(v)
+            );
+        }
+        assert!(ub.is_departure(local(B)));
+        assert!(!ub.is_departure(local(A)));
+        assert!(ub.is_arrival(local(A)));
+        assert!(!ub.is_arrival(local(I)));
+    }
+
+    /// Theorem 5.8: a departure keeps at most k − 2 valid in-neighbours.
+    #[test]
+    fn in_d_and_out_a_are_capped_by_theorem_5_8() {
+        // s fans out to many vertices that all point at the same departure
+        // d, which then reaches t.
+        let fan = 20u32;
+        let (s, d, t) = (0u32, fan + 1, fan + 2);
+        let mut edges = Vec::new();
+        for x in 1..=fan {
+            edges.push((s, x));
+            edges.push((x, d));
+        }
+        edges.push((d, t));
+        let g = DiGraph::from_edges((fan + 3) as usize, edges);
+        let k = 6u32;
+        let Phases { space, ub, .. } = phases(&g, Query::new(s, t, k), true);
+        let d = space.local_of(d).unwrap();
+        assert!(ub.is_departure(d));
+        assert!(ub.in_d(d).len() <= (k - 2) as usize);
+    }
+
+    /// k = 5 performs no DFS expansion (the initial length already equals
+    /// k − 4) yet still confirms edges between departures and arrivals.
+    #[test]
+    fn k5_verification_without_expansion() {
+        let g = DiGraph::from_edges(
+            6,
+            [
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (1, 3),
+                (2, 4),
+                (3, 1),
+            ],
+        );
+        let Phases { space, mut ub, .. } = phases(&g, Query::new(0, 5, 5), true);
+        apply_search_ordering_flat(&mut ub, &mut OrderScratch::default());
+        let mut scratch = VerifyScratch::default();
+        verify_flat(&ub, &mut scratch);
+        let answer: Vec<(VertexId, VertexId)> = ub
+            .edges()
+            .iter()
+            .zip(scratch.result())
+            .filter(|(_, &keep)| keep)
+            .map(|(&(u, v), _)| (space.global(u), space.global(v)))
+            .collect();
+        assert_eq!(answer, brute_force_spg(&g, 0, 5, 5));
+    }
+
+    #[test]
+    fn infeasible_query_produces_empty_upper_bound() {
+        let g = DiGraph::from_edges(4, [(0, 1), (2, 3)]);
+        let Phases { space, fwd, ub, .. } = phases(&g, Query::new(0, 3, 4), true);
+        assert!(space.is_empty());
+        assert_eq!(fwd.ev(1, 0), None);
+        assert_eq!(ub.edge_count(), 0);
+        assert_eq!(ub.stats().edges_examined, 0);
+        let mut scratch = VerifyScratch::default();
+        assert_eq!(verify_flat(&ub, &mut scratch), VerificationStats::default());
+        assert!(scratch.result().is_empty());
+    }
+
     /// Search ordering must not change the flat verification answer.
     #[test]
     fn flat_ordering_is_answer_preserving() {
         let g = paper_example::figure1_graph();
         for k in 5..=8u32 {
-            let q = Query::new(S, T, k);
-            let space = space_for(&g, q);
-            let mut fwd = FlatPropagation::default();
-            let mut bwd = FlatPropagation::default();
-            fwd.run(&space, Direction::Forward, true);
-            bwd.run(&space, Direction::Backward, true);
-            let mut ub = FlatUpperBound::default();
-            ub.build(&space, &fwd, &bwd);
+            let Phases { mut ub, .. } = phases(&g, Query::new(S, T, k), true);
             let mut scratch = VerifyScratch::default();
             verify_flat(&ub, &mut scratch);
             let plain = scratch.result().to_vec();

@@ -17,18 +17,15 @@
 use std::time::Instant;
 
 use spg_graph::{
-    DiGraph, Direction, DistanceIndex, DistanceStrategy, EdgeSubgraph, FlatDistances, LaneBlock,
-    MsBfsEngine, QueryBudget, VertexId,
+    DiGraph, Direction, DistanceStrategy, EdgeSubgraph, FlatDistances, LaneBlock, MsBfsEngine,
+    QueryBudget, VertexId,
 };
 
 use crate::compact::{apply_search_ordering_flat, verify_flat_budgeted};
 use crate::failpoints::{self, sites};
-use crate::labeling::UpperBoundGraph;
-use crate::propagation::Propagation;
 use crate::query::{Query, QueryError};
 use crate::spg::SimplePathGraph;
 use crate::stats::{EveStats, MemoryEstimate, PhaseTimings};
-use crate::verification::{apply_search_ordering, verify_undetermined};
 use crate::workspace::QueryWorkspace;
 
 /// Configuration switches for the EVE pipeline.
@@ -38,13 +35,10 @@ pub struct EveConfig {
     pub distance_strategy: DistanceStrategy,
     /// Enable the forward-looking pruning of Theorem 3.6 during propagation.
     ///
-    /// The answer is identical either way. Note that the workspace pipeline
-    /// ([`Eve::query_with`]) propagates over the compacted `G^k_st` CSR,
-    /// whose space restriction structurally subsumes most of the rule —
-    /// there this flag only toggles the residual per-level check. Ablation
-    /// harnesses that want the paper's full "Naive EVE" work profile
-    /// (Figure 11) should measure [`Eve::query_reference`], which honours
-    /// the flag over the whole graph.
+    /// The answer is identical either way. Propagation runs over the
+    /// compacted `G^k_st` CSR, whose space restriction structurally subsumes
+    /// most of the rule, so this flag only toggles the residual per-level
+    /// check.
     pub forward_looking_pruning: bool,
     /// Enable the §5.3 search-ordering strategy before verification.
     pub search_ordering: bool,
@@ -432,89 +426,12 @@ impl<'g> Eve<'g> {
         )?;
         Ok(Self::upper_bound_subgraph(ws))
     }
-
-    /// Answers a query with the hash-map reference pipeline (the pre-
-    /// compaction implementation). Retained for differential testing and as
-    /// the baseline of `bench_json`'s `legacy_median_ns` column; the answer
-    /// is always identical to [`Eve::query`].
-    pub fn query_reference(&self, query: Query) -> Result<SimplePathGraph, QueryError> {
-        Ok(self.query_detailed_reference(query)?.spg)
-    }
-
-    /// [`Eve::query_detailed`] via the hash-map reference pipeline
-    /// ([`Propagation`], [`UpperBoundGraph`], [`verify_undetermined`]).
-    pub fn query_detailed_reference(&self, query: Query) -> Result<EveOutput, QueryError> {
-        query.validate(self.graph)?;
-        let query = query.clamped_to(self.graph);
-        let mut timings = PhaseTimings::default();
-        let mut memory = MemoryEstimate::default();
-
-        // Phase 1a: distance index.
-        let start = Instant::now(); // spg-analyze: allow(hot-loop) — phase-boundary timer (legacy phase 1)
-        let index = DistanceIndex::compute(
-            self.graph,
-            query.source,
-            query.target,
-            query.k,
-            self.config.distance_strategy,
-        );
-        timings.distance = start.elapsed();
-        memory.distance_bytes = index.memory_bytes();
-
-        // Phase 1b: essential-vertex propagation.
-        let start = Instant::now(); // spg-analyze: allow(hot-loop) — phase-boundary timer (legacy phase 1b)
-        let forward = Propagation::forward(
-            self.graph,
-            query,
-            &index,
-            self.config.forward_looking_pruning,
-        );
-        let backward = Propagation::backward(
-            self.graph,
-            query,
-            &index,
-            self.config.forward_looking_pruning,
-        );
-        timings.propagation = start.elapsed();
-        memory.propagation_bytes = forward.memory_bytes() + backward.memory_bytes();
-
-        // Phase 2: upper-bound graph via edge labeling.
-        let start = Instant::now(); // spg-analyze: allow(hot-loop) — phase-boundary timer (legacy phase 2)
-        let mut upper = UpperBoundGraph::build(self.graph, query, &index, &forward, &backward);
-        timings.labeling = start.elapsed();
-        memory.upper_bound_bytes = upper.memory_bytes();
-
-        // Phase 3: verification of undetermined edges.
-        let start = Instant::now(); // spg-analyze: allow(hot-loop) — phase-boundary timer (legacy phase 3)
-        if self.config.search_ordering && query.k >= 5 {
-            apply_search_ordering(&mut upper);
-        }
-        let outcome = verify_undetermined(&upper, query);
-        timings.verification = start.elapsed();
-        memory.record_verification(outcome.edges.len(), query.k);
-
-        let stats = EveStats {
-            timings,
-            memory,
-            search_space: index.stats(),
-            forward_propagation: forward.stats(),
-            backward_propagation: backward.stats(),
-            labeling: upper.stats(),
-            verification: outcome.stats,
-            upper_bound_edges: upper.edge_count(),
-        };
-        let spg =
-            SimplePathGraph::from_parts(query, EdgeSubgraph::from_edges(outcome.edges), stats);
-        Ok(EveOutput {
-            spg,
-            upper_bound: upper.to_edge_subgraph(),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compact::tests::brute_force_spg;
     use crate::paper_example::{self, names::*};
 
     #[test]
@@ -551,6 +468,8 @@ mod tests {
         assert!(r > 0.0);
     }
 
+    /// Every configuration yields the brute-force answer on Figure 1 at
+    /// every k.
     #[test]
     fn all_configurations_agree_on_the_answer() {
         let g = paper_example::figure1_graph();
@@ -569,12 +488,12 @@ mod tests {
             },
         ];
         for k in 1..=8u32 {
-            let reference = Eve::new(&g, configs[0]).query(Query::new(S, T, k)).unwrap();
-            for cfg in &configs[1..] {
-                let other = Eve::new(&g, *cfg).query(Query::new(S, T, k)).unwrap();
+            let expected = brute_force_spg(&g, S, T, k);
+            for cfg in &configs {
+                let got = Eve::new(&g, *cfg).query(Query::new(S, T, k)).unwrap();
                 assert_eq!(
-                    reference.edges(),
-                    other.edges(),
+                    got.edges(),
+                    expected.as_slice(),
                     "k={k}, config {}",
                     cfg.describe()
                 );
@@ -618,10 +537,11 @@ mod tests {
         }
     }
 
-    /// The flat workspace pipeline and the hash-map reference pipeline must
-    /// produce identical answers and upper bounds under every configuration.
+    /// On one warm workspace, the full and naive configurations answer
+    /// random graphs exactly as exhaustive DFS does, and the upper bound
+    /// contains the answer (and equals it for k ≤ 4, Theorem 4.8).
     #[test]
-    fn compact_and_reference_pipelines_agree_on_random_graphs() {
+    fn pipeline_matches_brute_force_on_random_graphs() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(777);
@@ -634,45 +554,31 @@ mod tests {
             let t = (n - 1) as u32;
             let k = rng.gen_range(2..9);
             let q = Query::new(s, t, k);
+            let expected = brute_force_spg(&g, s, t, k);
             for cfg in [EveConfig::full(), EveConfig::naive()] {
                 let eve = Eve::new(&g, cfg);
-                let reference = eve.query_detailed_reference(q).unwrap();
-                let compact = eve.query_detailed_with(&mut ws, q).unwrap();
+                let out = eve.query_detailed_with(&mut ws, q).unwrap();
                 assert_eq!(
-                    compact.spg.edges(),
-                    reference.spg.edges(),
+                    out.spg.edges(),
+                    expected.as_slice(),
                     "case {case} k={k} cfg {}",
                     cfg.describe()
                 );
+                assert!(out.spg.as_subgraph().is_subgraph_of(&out.upper_bound));
                 assert_eq!(
-                    compact.upper_bound,
-                    reference.upper_bound,
-                    "case {case} k={k} cfg {}",
-                    cfg.describe()
+                    out.spg.stats().upper_bound_edges,
+                    out.upper_bound.edge_count()
                 );
-                assert_eq!(
-                    compact.spg.stats().upper_bound_edges,
-                    reference.spg.stats().upper_bound_edges
-                );
+                if k <= 4 {
+                    assert_eq!(out.upper_bound.edge_count(), out.spg.edge_count());
+                }
             }
-        }
-    }
-
-    #[test]
-    fn reference_query_matches_compact_query() {
-        let g = paper_example::figure1_graph();
-        let eve = Eve::with_defaults(&g);
-        for k in 1..=8u32 {
-            let compact = eve.query(Query::new(S, T, k)).unwrap();
-            let reference = eve.query_reference(Query::new(S, T, k)).unwrap();
-            assert_eq!(compact.edges(), reference.edges(), "k={k}");
         }
     }
 
     /// Regression test for the unbounded-`k` allocation bug: a query with
     /// `k = u32::MAX` used to drive `k`-proportional per-level allocations
-    /// (e.g. the reference propagation's `vec![map; k]` level table) and
-    /// `O(k)` per-edge labeling loops. With the entry-point clamp it must
+    /// and `O(k)` per-edge labeling loops. With the entry-point clamp it must
     /// answer instantly and produce exactly the `k = n − 1` SPG.
     #[test]
     fn huge_k_is_clamped_to_simple_path_bound() {
@@ -680,10 +586,8 @@ mod tests {
         let eve = Eve::with_defaults(&g);
         let start = Instant::now();
         let huge = eve.query(Query::new(0, 9, u32::MAX)).unwrap();
-        let reference = eve.query_reference(Query::new(0, 9, u32::MAX)).unwrap();
         let clamped = eve.query(Query::new(0, 9, 9)).unwrap();
         assert_eq!(huge.edges(), clamped.edges());
-        assert_eq!(reference.edges(), clamped.edges());
         assert_eq!(huge.query().k, 9, "recorded query reflects the clamp");
         assert!(
             start.elapsed() < std::time::Duration::from_secs(10),

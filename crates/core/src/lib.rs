@@ -7,16 +7,21 @@
 //! the edges that lie on at least one simple path from `s` to `t` of length
 //! at most `k` — without enumerating those paths.
 //!
-//! The pipeline has three phases (see [`Eve`]):
+//! The pipeline has three phases (see [`Eve`]), each run on flat buffers
+//! over the compacted search space `G^k_st` that a reusable
+//! [`QueryWorkspace`] holds:
 //!
-//! 1. [`propagation`] — essential-vertex sets `EV*_l(s, ·)` / `EV*_l(·, t)`
+//! 1. propagation — essential-vertex sets `EV*_l(s, ·)` / `EV*_l(·, t)`
 //!    computed by level-wise propagation with forward-looking pruning;
-//! 2. [`labeling`] — every edge in the search space is labeled failing /
+//! 2. labeling — every edge in the search space is labeled failing /
 //!    undetermined / definite, yielding the tight upper-bound graph
 //!    `SPGᵘ_k(s, t)`;
-//! 3. [`verification`] — each undetermined edge is confirmed or rejected by a
+//! 3. verification — each undetermined edge is confirmed or rejected by a
 //!    DFS-oriented search for a witness path between a departure and an
 //!    arrival vertex.
+//!
+//! [`EveStats`] carries each phase's counters ([`PropagationStats`],
+//! [`LabelingStats`], [`VerificationStats`]) with every answer.
 //!
 //! Batch serving builds on the pipeline: [`executor`] runs query batches
 //! across threads, and [`cache`] memoises answers for hot `(s, t, k)`
@@ -43,32 +48,26 @@ mod compact;
 pub mod cache;
 pub mod dynamic;
 pub mod eve;
-pub mod evset;
 pub mod executor;
 pub mod failpoints;
 pub mod flight;
-pub mod labeling;
 pub mod paper_example;
-pub mod propagation;
 pub mod query;
 pub mod spg;
 pub mod stats;
-pub mod verification;
 pub mod workspace;
 
 pub use cache::{CacheOutcome, CacheStats, CachedEve, SpgCache};
 pub use cohort::LaneWidth;
 pub use dynamic::{apply_delta_scoped, DeltaUpdate, InvalidationScope};
 pub use eve::{Eve, EveConfig, EveOutput};
-pub use evset::EvSet;
 pub use executor::{
     BatchExecutor, BatchOutcome, BatchResult, BatchStats, SharedPhase1Stats, ThreadBatchStats,
 };
 pub use flight::{FlightGroup, FlightJoiner, FlightOutcome, FlightRole, FlightStats, FlightToken};
-pub use labeling::{EdgeLabel, LabelingStats, UpperBoundGraph};
-pub use propagation::{Propagation, PropagationStats};
 pub use query::{Query, QueryError};
 pub use spg::SimplePathGraph;
-pub use stats::{EveStats, MemoryEstimate, PhaseTimings};
-pub use verification::{VerificationOutcome, VerificationStats};
+pub use stats::{
+    EveStats, LabelingStats, MemoryEstimate, PhaseTimings, PropagationStats, VerificationStats,
+};
 pub use workspace::QueryWorkspace;

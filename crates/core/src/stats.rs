@@ -8,10 +8,49 @@
 
 use std::time::Duration;
 
-use crate::labeling::LabelingStats;
-use crate::propagation::PropagationStats;
-use crate::verification::VerificationStats;
 use spg_graph::SearchSpaceStats;
+
+/// Work counters for one propagation run (one direction).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PropagationStats {
+    /// Number of adjacency entries scanned.
+    pub edge_scans: usize,
+    /// Number of visits skipped by the forward-looking pruning rule.
+    pub pruned_visits: usize,
+    /// Number of essential-vertex sets materialised (changed levels only).
+    pub sets_stored: usize,
+    /// Number of levels actually expanded before the frontier emptied.
+    pub levels_run: u32,
+}
+
+/// Counters describing one labeling pass.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LabelingStats {
+    /// Edges examined (= edges inside the bidirectional search space).
+    pub edges_examined: usize,
+    /// Edges labeled failing.
+    pub failing: usize,
+    /// Edges labeled undetermined.
+    pub undetermined: usize,
+    /// Edges labeled definite.
+    pub definite: usize,
+}
+
+/// Work counters for the verification phase.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VerificationStats {
+    /// Number of undetermined edges that required a DFS-oriented search.
+    pub searches: usize,
+    /// Undetermined edges confirmed to be part of `SPG_k`.
+    pub confirmed: usize,
+    /// Undetermined edges rejected (the redundant edges of Table 3).
+    pub rejected: usize,
+    /// Undetermined edges confirmed for free because an earlier witness path
+    /// already covered them.
+    pub covered_by_witness: usize,
+    /// DFS expansions performed across all searches.
+    pub dfs_steps: usize,
+}
 
 /// Wall-clock time spent in each EVE phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,8 +93,8 @@ impl PhaseTimings {
 /// measurements).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryEstimate {
-    /// Distance index (forward + backward distance maps) plus, on the
-    /// compacted pipeline, the dense search-space CSR.
+    /// Distance search (the vertices each side discovered, with their
+    /// distances) plus the dense search-space CSR.
     pub distance_bytes: usize,
     /// Essential-vertex sets of both propagations.
     pub propagation_bytes: usize,
@@ -84,8 +123,6 @@ impl MemoryEstimate {
 
     /// Records the verification phase's footprint: the answer edge list plus
     /// the two DFS stacks (bounded by `k + 2` entries each, Theorem 5.6).
-    /// Space accounting for every pipeline lives here so the estimate cannot
-    /// drift between implementations.
     pub fn record_verification(&mut self, answer_edges: usize, k: u32) {
         self.verification_bytes = answer_edges * std::mem::size_of::<(u32, u32)>()
             + (k as usize + 2) * 2 * std::mem::size_of::<u32>();

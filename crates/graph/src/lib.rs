@@ -51,9 +51,9 @@ pub use delta::{multi_source_distances, DeltaError, DeltaOp, DeltaVersion, EdgeD
 pub use properties::DegreeStats;
 pub use subgraph::EdgeSubgraph;
 pub use traversal::{
-    bfs_distances_from, bfs_distances_to, k_hop_reachable, DistanceIndex, DistanceStrategy,
-    FlatDistances, FrontierMode, LaneBlock, Lanes256, Lanes64, MsBfsEngine, MsBfsLane, MsBfsStats,
-    SearchSpace, SearchSpaceStats, SpaceScratch,
+    bfs_distances_from, bfs_distances_to, k_hop_reachable, DistanceStrategy, FlatDistances,
+    FrontierMode, LaneBlock, Lanes256, Lanes64, MsBfsEngine, MsBfsLane, MsBfsStats, SearchSpace,
+    SearchSpaceStats, SpaceScratch,
 };
 pub use versioned::{GraphVersion, VersionedGraph};
 
@@ -72,7 +72,6 @@ const _: () = {
     assert_send_sync::<DiGraph>();
     assert_send_sync::<GraphBuilder>();
     assert_send_sync::<EdgeSubgraph>();
-    assert_send_sync::<DistanceIndex>();
     assert_send_sync::<FlatDistances>();
     assert_send_sync::<MsBfsEngine>();
     assert_send_sync::<MsBfsEngine<Lanes256>>();

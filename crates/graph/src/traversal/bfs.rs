@@ -92,6 +92,27 @@ pub fn bfs_distances_to(
     bfs_distances(g, target, Direction::Backward, opts)
 }
 
+/// Test oracle for the per-query distance search: `(Δ(s, v), Δ(v, t))` per
+/// vertex id, or `(INF_DIST, INF_DIST)` outside the search space
+/// `Δ(s,v) + Δ(v,t) ≤ k`. Two plain BFS passes, each avoiding the other
+/// endpoint; it shares no code with [`crate::FlatDistances`].
+#[cfg(test)]
+pub(crate) fn search_space_oracle(
+    g: &DiGraph,
+    s: VertexId,
+    t: VertexId,
+    k: u32,
+) -> Vec<(u32, u32)> {
+    let from_s = bfs_distances_from(g, s, BfsOptions::bounded_avoiding(k, t));
+    let to_t = bfs_distances_to(g, t, BfsOptions::bounded_avoiding(k, s));
+    g.vertices()
+        .map(|v| match (from_s.get(&v), to_t.get(&v)) {
+            (Some(&df), Some(&db)) if df + db <= k => (df, db),
+            _ => (crate::INF_DIST, crate::INF_DIST),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

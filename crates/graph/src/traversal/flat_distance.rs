@@ -1,20 +1,18 @@
-//! Epoch-stamped flat distance search for the workspace hot path.
+//! Epoch-stamped flat distance search: Phase 1a of every EVE query.
 //!
-//! [`FlatDistances`] computes exactly what [`DistanceIndex`] computes — the
-//! t-avoiding forward distances `Δ(s, v)` and s-avoiding backward distances
-//! `Δ(v, t)` under any [`DistanceStrategy`] — but stores them in two flat
-//! graph-sized arrays whose entries are validated by an epoch stamp instead
-//! of per-query hash maps. Reusing one instance across queries touches only
-//! the vertices each query actually discovers: bumping the epoch invalidates
-//! every stale entry in O(1), so there is no per-query clearing and, after
-//! warm-up, no per-query allocation.
+//! [`FlatDistances`] computes the t-avoiding forward distances `Δ(s, v)`
+//! and s-avoiding backward distances `Δ(v, t)` under any
+//! [`DistanceStrategy`], and stores them in two flat graph-sized arrays
+//! whose entries are validated by an epoch stamp. Reusing one instance
+//! across queries touches only the vertices each query actually discovers:
+//! bumping the epoch invalidates every stale entry in O(1), so there is no
+//! per-query clearing and, after warm-up, no per-query allocation.
 //!
-//! A second structural win over the hash-map engine: the bidirectional
-//! strategies' "finish inside the other side's explored region" phase reads
-//! the other side's stamps directly. The hash-map engine has to clone the
-//! other side's whole distance map as a snapshot; here no snapshot is needed
-//! because a side's restricted expansion only consults the *other* side's
-//! entries, which that side's own expansion never mutates mid-run.
+//! The bidirectional strategies' "finish inside the other side's explored
+//! region" phase reads the other side's stamps directly. No snapshot of the
+//! other side is needed, because a side's restricted expansion only
+//! consults the *other* side's entries, which that side's own expansion
+//! never mutates mid-run.
 //!
 //! Under [`DistanceStrategy::AdaptiveBidirectional`] the finish is also
 //! confined to the search space: a frontier vertex is expanded only once the
@@ -96,9 +94,7 @@ impl StampedSide {
     }
 }
 
-/// Reusable flat replacement for the per-query [`DistanceIndex`] hash maps.
-///
-/// [`DistanceIndex`]: crate::traversal::DistanceIndex
+/// Reusable per-query distance search (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct FlatDistances {
     epoch: u32,
@@ -119,9 +115,7 @@ impl FlatDistances {
     /// chosen strategy, reusing all buffers.
     ///
     /// # Panics
-    /// Panics if `s == t` (mirrors [`DistanceIndex::compute`]).
-    ///
-    /// [`DistanceIndex::compute`]: crate::traversal::DistanceIndex::compute
+    /// Panics if `s == t`.
     pub fn compute(
         &mut self,
         g: &DiGraph,
@@ -373,9 +367,7 @@ impl FlatDistances {
     }
 
     /// `Δ(s, v)` restricted to the search space: [`INF_DIST`] unless
-    /// `Δ(s,v) + Δ(v,t) ≤ k` (matches [`DistanceIndex::dist_from_s`]).
-    ///
-    /// [`DistanceIndex::dist_from_s`]: crate::traversal::DistanceIndex::dist_from_s
+    /// `Δ(s,v) + Δ(v,t) ≤ k`.
     #[inline]
     pub fn dist_from_s(&self, v: VertexId) -> u32 {
         let df = self.fwd.dist(v, self.epoch);
@@ -387,10 +379,8 @@ impl FlatDistances {
         }
     }
 
-    /// `Δ(v, t)` restricted to the search space (matches
-    /// [`DistanceIndex::dist_to_t`]).
-    ///
-    /// [`DistanceIndex::dist_to_t`]: crate::traversal::DistanceIndex::dist_to_t
+    /// `Δ(v, t)` restricted to the search space: [`INF_DIST`] unless
+    /// `Δ(s,v) + Δ(v,t) ≤ k`.
     #[inline]
     pub fn dist_to_t(&self, v: VertexId) -> u32 {
         let df = self.fwd.dist(v, self.epoch);
@@ -456,7 +446,8 @@ impl FlatDistances {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::{DistanceIndex, SearchSpace, SpaceScratch};
+    use crate::traversal::bfs::search_space_oracle;
+    use crate::traversal::{SearchSpace, SpaceScratch};
 
     /// Figure 1(a) graph; naming s=0, a=1, c=2, t=3, h=4, b=5, i=6, j=7.
     fn figure1() -> DiGraph {
@@ -480,61 +471,27 @@ mod tests {
         )
     }
 
+    /// Every strategy against the BFS oracle, every vertex, on random
+    /// graphs at several hop bounds.
     #[test]
-    fn agrees_with_distance_index_on_all_strategies() {
-        let g = figure1();
+    fn agrees_with_bfs_oracle_on_random_graphs() {
         let mut flat = FlatDistances::new();
-        for strategy in DistanceStrategy::ALL {
-            for k in 1..=8u32 {
-                let idx = DistanceIndex::compute(&g, 0, 3, k, strategy);
-                flat.compute(&g, 0, 3, k, strategy);
-                assert_eq!(flat.is_feasible(), idx.is_feasible(), "k={k}");
-                for v in g.vertices() {
-                    assert_eq!(
-                        flat.dist_from_s(v),
-                        idx.dist_from_s(v),
-                        "{} k={k} v={v}",
-                        strategy.name()
-                    );
-                    assert_eq!(
-                        flat.dist_to_t(v),
-                        idx.dist_to_t(v),
-                        "{} k={k} v={v}",
-                        strategy.name()
-                    );
-                    assert_eq!(flat.in_search_space(v), idx.in_search_space(v));
-                }
-                // Work counters match the hash-map engine exactly: the
-                // traversal order is identical.
-                assert_eq!(
-                    flat.stats().forward_edge_scans + flat.stats().backward_edge_scans,
-                    idx.stats().total_edge_scans(),
-                    "{} k={k}",
-                    strategy.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn agrees_with_distance_index_on_random_graphs() {
         for case in 0..20u64 {
             let n = 20 + (case as usize % 30);
             let g = crate::generators::gnm_random(n, 4 * n, 1234 + case);
             let (s, t) = (0u32, (n - 1) as u32);
-            let mut flat = FlatDistances::new();
-            for strategy in DistanceStrategy::ALL {
-                for k in [2u32, 4, 6, 8] {
-                    let idx = DistanceIndex::compute(&g, s, t, k, strategy);
+            for k in [2u32, 4, 6, 8] {
+                let oracle = search_space_oracle(&g, s, t, k);
+                for strategy in DistanceStrategy::ALL {
                     flat.compute(&g, s, t, k, strategy);
+                    assert_eq!(flat.is_feasible(), oracle[t as usize].0 != INF_DIST);
                     for v in g.vertices() {
                         assert_eq!(
-                            flat.dist_from_s(v),
-                            idx.dist_from_s(v),
+                            (flat.dist_from_s(v), flat.dist_to_t(v)),
+                            oracle[v as usize],
                             "case {case} {} k={k} v={v}",
                             strategy.name()
                         );
-                        assert_eq!(flat.dist_to_t(v), idx.dist_to_t(v));
                     }
                 }
             }

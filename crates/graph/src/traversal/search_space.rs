@@ -1,14 +1,12 @@
 //! Dense compaction of the per-query search space `G^k_st`.
 //!
-//! The [`DistanceIndex`] identifies the search space sparsely — hash maps
-//! from global vertex ids to distances. Every downstream EVE phase
-//! (propagation, edge labeling, verification) then used to probe those hash
-//! maps once per adjacency entry, which dominates the constant factor of the
-//! whole pipeline. [`SearchSpace`] removes that cost: the space vertices are
-//! relabeled to dense **local ids** `0..n'` (in ascending global-id order, so
-//! local order and global order coincide) and both adjacency directions of
-//! `G^k_st` are re-materialised as local-id CSR slices. Downstream phases
-//! index flat `Vec`s by local id; no hash map is touched after construction.
+//! [`FlatDistances`] identifies the search space on graph-sized arrays
+//! indexed by global vertex id. [`SearchSpace`] relabels the space vertices
+//! to dense **local ids** `0..n'` (in ascending global-id order, so local
+//! order and global order coincide) and re-materialises both adjacency
+//! directions of `G^k_st` as local-id CSR slices. The EVE phases
+//! (propagation, edge labeling, verification) index flat `Vec`s by local id
+//! and never touch the host graph again.
 //!
 //! Construction itself is a linear scan over the adjacency of the space
 //! vertices. The global→local translation uses [`SpaceScratch`], an
@@ -17,7 +15,7 @@
 //! entry in O(1).
 
 use crate::csr::{DiGraph, Direction, VertexId};
-use crate::traversal::{DistanceIndex, FlatDistances};
+use crate::traversal::FlatDistances;
 
 /// Sentinel local id meaning "not in the search space".
 pub const NO_LOCAL: u32 = u32::MAX;
@@ -80,12 +78,11 @@ impl SpaceScratch {
 /// local-id CSR of both adjacency directions.
 ///
 /// An edge `(u, v)` of the host graph is kept iff
-/// `Δ(s,u) + 1 + Δ(v,t) ≤ k` — exactly the edges
-/// [`DistanceIndex::edge_in_space`] accepts, i.e. the edge set of `G^k_st`.
+/// `Δ(s,u) + 1 + Δ(v,t) ≤ k`, i.e. the edge set of `G^k_st`.
 ///
-/// The structure is a reusable container: [`SearchSpace::rebuild`] refills it
-/// for a new query while retaining every buffer's capacity, so a warmed-up
-/// instance performs no heap allocation.
+/// The structure is a reusable container: [`SearchSpace::rebuild_from_flat`]
+/// refills it for a new query while retaining every buffer's capacity, so a
+/// warmed-up instance performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SearchSpace {
     k: u32,
@@ -109,37 +106,8 @@ impl SearchSpace {
         SearchSpace::default()
     }
 
-    /// One-shot convenience constructor (allocates a fresh scratch table).
-    pub fn build(g: &DiGraph, index: &DistanceIndex) -> SearchSpace {
-        let mut space = SearchSpace::new();
-        let mut scratch = SpaceScratch::new();
-        space.rebuild(g, index, &mut scratch);
-        space
-    }
-
-    /// Refills the container with the search space of `index`, reusing all
-    /// buffer capacity from previous queries.
-    pub fn rebuild(&mut self, g: &DiGraph, index: &DistanceIndex, scratch: &mut SpaceScratch) {
-        self.reset(index.hop_constraint());
-        if !index.is_feasible() {
-            self.finish_empty();
-            return;
-        }
-        self.verts.extend(index.space_vertices());
-        self.verts.sort_unstable();
-        self.rebuild_inner(
-            g,
-            scratch,
-            index.source(),
-            index.target(),
-            |v| index.dist_from_s(v),
-            |v| index.dist_to_t(v),
-        );
-    }
-
-    /// Like [`SearchSpace::rebuild`], but sourced from the epoch-stamped
-    /// [`FlatDistances`] engine — the hot path used by the reusable query
-    /// workspace, which never touches a hash map.
+    /// Refills the container with the search space held by `fd`, reusing
+    /// all buffer capacity from previous queries.
     pub fn rebuild_from_flat(
         &mut self,
         g: &DiGraph,
@@ -186,9 +154,8 @@ impl SearchSpace {
         self.in_offsets.push(0);
     }
 
-    /// Shared tail of the rebuild paths: `self.verts` holds the sorted space
-    /// vertices; fills the distance arrays, endpoint locals and both CSR
-    /// directions.
+    /// Tail of the rebuild: `self.verts` holds the sorted space vertices;
+    /// fills the distance arrays, endpoint locals and both CSR directions.
     fn rebuild_inner<Fs, Ft>(
         &mut self,
         g: &DiGraph,
@@ -387,7 +354,9 @@ impl SearchSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traversal::bfs::search_space_oracle;
     use crate::traversal::DistanceStrategy;
+    use crate::INF_DIST;
 
     /// Figure 1(a) graph; naming s=0, a=1, c=2, t=3, h=4, b=5, i=6, j=7.
     fn figure1() -> DiGraph {
@@ -411,28 +380,38 @@ mod tests {
         )
     }
 
-    fn index(g: &DiGraph, k: u32) -> DistanceIndex {
-        DistanceIndex::compute(g, 0, 3, k, DistanceStrategy::AdaptiveBidirectional)
+    /// Distances of the query `⟨0, 3, k⟩`.
+    fn distances(g: &DiGraph, k: u32) -> FlatDistances {
+        let mut fd = FlatDistances::new();
+        fd.compute(g, 0, 3, k, DistanceStrategy::AdaptiveBidirectional);
+        fd
+    }
+
+    fn space(g: &DiGraph, k: u32) -> SearchSpace {
+        let mut space = SearchSpace::new();
+        space.rebuild_from_flat(g, &distances(g, k), &mut SpaceScratch::new());
+        space
     }
 
     #[test]
-    fn space_matches_distance_index_membership() {
+    fn space_matches_bfs_oracle_membership() {
         let g = figure1();
         for k in 2..=8u32 {
-            let idx = index(&g, k);
-            let space = SearchSpace::build(&g, &idx);
-            assert_eq!(space.vertex_count(), idx.space_size(), "k={k}");
+            let oracle = search_space_oracle(&g, 0, 3, k);
+            let space = space(&g, k);
             for v in g.vertices() {
                 assert_eq!(
                     space.local_of(v).is_some(),
-                    idx.in_search_space(v),
+                    oracle[v as usize].0 != INF_DIST,
                     "k={k} v={v}"
                 );
             }
             for local in 0..space.vertex_count() as u32 {
                 let v = space.global(local);
-                assert_eq!(space.dist_from_s(local), idx.dist_from_s(v));
-                assert_eq!(space.dist_to_t(local), idx.dist_to_t(v));
+                assert_eq!(
+                    (space.dist_from_s(local), space.dist_to_t(local)),
+                    oracle[v as usize]
+                );
             }
         }
     }
@@ -441,8 +420,8 @@ mod tests {
     fn edges_are_exactly_the_gkst_edges() {
         let g = figure1();
         for k in 2..=8u32 {
-            let idx = index(&g, k);
-            let space = SearchSpace::build(&g, &idx);
+            let oracle = search_space_oracle(&g, 0, 3, k);
+            let space = space(&g, k);
             let mut space_edges: Vec<(VertexId, VertexId)> = Vec::new();
             for u in 0..space.vertex_count() as u32 {
                 for &v in space.out_neighbors(u) {
@@ -451,7 +430,10 @@ mod tests {
             }
             let expected: Vec<(VertexId, VertexId)> = g
                 .edges()
-                .filter(|&(u, v)| idx.edge_in_space(u, v))
+                .filter(|&(u, v)| {
+                    let (du, dv) = (oracle[u as usize].0, oracle[v as usize].1);
+                    du != INF_DIST && dv != INF_DIST && du + 1 + dv <= k
+                })
                 .collect();
             assert_eq!(space_edges, expected, "k={k}");
             assert_eq!(space.edge_count(), expected.len());
@@ -461,8 +443,7 @@ mod tests {
     #[test]
     fn in_adjacency_mirrors_out_adjacency() {
         let g = figure1();
-        let idx = index(&g, 7);
-        let space = SearchSpace::build(&g, &idx);
+        let space = space(&g, 7);
         for u in 0..space.vertex_count() as u32 {
             for &v in space.out_neighbors(u) {
                 assert!(space.in_neighbors(v).contains(&u));
@@ -488,18 +469,18 @@ mod tests {
         let mut space = SearchSpace::new();
         // Reuse the same containers across different k values.
         for k in [7u32, 3, 8, 2] {
-            let idx = index(&g, k);
-            space.rebuild(&g, &idx, &mut scratch);
+            let fd = distances(&g, k);
+            space.rebuild_from_flat(&g, &fd, &mut scratch);
             assert_eq!(space.global(space.source_local()), 0, "k={k}");
             assert_eq!(space.global(space.target_local()), 3, "k={k}");
             assert_eq!(space.hop_constraint(), k);
             assert_eq!(
                 space.remaining_dist(space.source_local(), Direction::Forward),
-                idx.dist_to_t(0)
+                fd.dist_to_t(0)
             );
             assert_eq!(
                 space.remaining_dist(space.target_local(), Direction::Backward),
-                idx.dist_from_s(3)
+                fd.dist_from_s(3)
             );
             assert!(space.memory_bytes() > 0);
             assert!(scratch.memory_bytes() > 0);
@@ -509,8 +490,7 @@ mod tests {
     #[test]
     fn infeasible_query_yields_empty_space() {
         let g = DiGraph::from_edges(4, [(0, 1), (2, 3)]);
-        let idx = DistanceIndex::compute(&g, 0, 3, 6, DistanceStrategy::AdaptiveBidirectional);
-        let space = SearchSpace::build(&g, &idx);
+        let space = space(&g, 6);
         assert!(space.is_empty());
         assert_eq!(space.vertex_count(), 0);
         assert_eq!(space.edge_count(), 0);
@@ -525,13 +505,13 @@ mod tests {
         // k = 3 excludes vertex i (6); a later k = 8 rebuild must include it
         // again, and a subsequent k = 3 rebuild must exclude it without any
         // clearing in between.
-        let small = index(&g, 3);
-        let large = index(&g, 8);
-        space.rebuild(&g, &small, &mut scratch);
+        let small = distances(&g, 3);
+        let large = distances(&g, 8);
+        space.rebuild_from_flat(&g, &small, &mut scratch);
         assert_eq!(space.local_of(6), None);
-        space.rebuild(&g, &large, &mut scratch);
+        space.rebuild_from_flat(&g, &large, &mut scratch);
         assert!(space.local_of(6).is_some());
-        space.rebuild(&g, &small, &mut scratch);
+        space.rebuild_from_flat(&g, &small, &mut scratch);
         assert_eq!(space.local_of(6), None);
     }
 }

@@ -6,11 +6,11 @@
 //! *deeper* than the query's `k` (a shared lane runs to the maximum `k` of
 //! the queries it serves) — the search-space distances materialised from the
 //! shared traversal are identical to the per-query [`FlatDistances`] engine
-//! under **all three** [`DistanceStrategy`] variants, and to the hash-map
-//! [`DistanceIndex`]. The sweep covers both lane-block widths (64- and
-//! 256-lane cohorts) under every [`FrontierMode`]: the forced modes reach
-//! both expansion kinds on any graph, and the direction-optimizing mode
-//! runs the production α/β hysteresis. This is the property that makes
+//! under **all three** [`DistanceStrategy`] variants, and to an independent
+//! oracle of two plain BFS passes. The sweep covers both lane-block widths
+//! (64- and 256-lane cohorts) under every [`FrontierMode`]: the forced modes
+//! reach both expansion kinds on any graph, and the direction-optimizing
+//! mode runs the production α/β hysteresis. This is the property that makes
 //! cohort-shared batch answers bit-identical to per-query answers.
 //!
 //! A separate executor-level test covers the widening payoff end to end: a
@@ -23,10 +23,10 @@ use proptest::prelude::*;
 
 use hop_spg::eve::{BatchExecutor, Eve, LaneWidth, Query};
 use hop_spg::graph::generators::gnm_random;
-use hop_spg::graph::traversal::{DistanceIndex, DistanceStrategy};
+use hop_spg::graph::traversal::{BfsOptions, DistanceStrategy};
 use hop_spg::graph::{
-    DiGraph, Direction, FlatDistances, FrontierMode, LaneBlock, Lanes256, Lanes64, MsBfsEngine,
-    MsBfsLane,
+    bfs_distances_from, bfs_distances_to, DiGraph, Direction, FlatDistances, FrontierMode,
+    LaneBlock, Lanes256, Lanes64, MsBfsEngine, MsBfsLane, INF_DIST,
 };
 
 /// A lane spec: endpoints, the query hop budget `k`, and how much deeper
@@ -81,9 +81,23 @@ fn load_lane<B: LaneBlock>(
     fd
 }
 
+/// `(Δ(s, v), Δ(v, t))` per vertex inside the search space of `⟨s, t, k⟩`,
+/// `(INF_DIST, INF_DIST)` outside it: two plain BFS passes, each avoiding
+/// the other endpoint, filtered by `Δ(s,v) + Δ(v,t) ≤ k`.
+fn bfs_oracle(g: &DiGraph, s: u32, t: u32, k: u32) -> Vec<(u32, u32)> {
+    let from_s = bfs_distances_from(g, s, BfsOptions::bounded_avoiding(k, t));
+    let to_t = bfs_distances_to(g, t, BfsOptions::bounded_avoiding(k, s));
+    g.vertices()
+        .map(|v| match (from_s.get(&v), to_t.get(&v)) {
+            (Some(&df), Some(&db)) if df + db <= k => (df, db),
+            _ => (INF_DIST, INF_DIST),
+        })
+        .collect()
+}
+
 /// Per-query reference distances for every lane, cross-checked across all
-/// [`DistanceStrategy`] variants and the hash-map [`DistanceIndex`] so any
-/// engine disagreement below is unambiguous.
+/// [`DistanceStrategy`] variants and the BFS oracle so any engine
+/// disagreement below is unambiguous.
 fn reference_distances(g: &DiGraph, lanes: &[LaneSpec]) -> Vec<FlatDistances> {
     let mut expected = Vec::with_capacity(lanes.len());
     let mut scratch = FlatDistances::new();
@@ -103,16 +117,13 @@ fn reference_distances(g: &DiGraph, lanes: &[LaneSpec]) -> Vec<FlatDistances> {
                 assert_eq!(fd.dist_to_t(v), scratch.dist_to_t(v));
             }
         }
-        let idx = DistanceIndex::compute(
-            g,
-            spec.s,
-            spec.t,
-            spec.k,
-            DistanceStrategy::AdaptiveBidirectional,
-        );
+        let oracle = bfs_oracle(g, spec.s, spec.t, spec.k);
         for v in g.vertices() {
-            assert_eq!(fd.dist_from_s(v), idx.dist_from_s(v));
-            assert_eq!(fd.dist_to_t(v), idx.dist_to_t(v));
+            assert_eq!(
+                (fd.dist_from_s(v), fd.dist_to_t(v)),
+                oracle[v as usize],
+                "oracle disagrees at v {v} for {spec:?}"
+            );
         }
         expected.push(fd);
     }
@@ -175,7 +186,7 @@ const MODES: [FrontierMode; 3] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Shared-lane distances ≡ `FlatDistances` ≡ `DistanceIndex` for both
+    /// Shared-lane distances ≡ `FlatDistances` ≡ the BFS oracle for both
     /// lane-block widths and every frontier mode, every vertex.
     #[test]
     fn msbfs_matches_per_query_engines((g, lanes) in graph_and_lanes()) {

@@ -8,7 +8,8 @@ use proptest::prelude::*;
 
 use hop_spg::baselines::{khsq_plus, spg_by_enumeration, EnumerationAlgorithm};
 use hop_spg::eve::{Eve, EveConfig, Query};
-use hop_spg::graph::{DiGraph, DistanceStrategy};
+use hop_spg::graph::traversal::BfsOptions;
+use hop_spg::graph::{bfs_distances_from, bfs_distances_to, DiGraph, DistanceStrategy};
 
 /// Strategy: a small random digraph plus a query on it.
 fn graph_and_query() -> impl Strategy<Value = (DiGraph, Query)> {
@@ -95,15 +96,19 @@ proptest! {
         }
     }
 
-    /// Every edge of the answer touches vertices that can reach / be reached
-    /// from the query endpoints within the hop budget.
+    /// Every edge of the answer lies in `G^k_st`: `Δ(s,u) + 1 + Δ(v,t) ≤ k`
+    /// on two plain BFS passes that each avoid the other endpoint.
     #[test]
     fn answer_edges_lie_in_the_search_space((g, q) in graph_and_query()) {
-        use hop_spg::graph::DistanceIndex;
         let spg = Eve::with_defaults(&g).query(q).unwrap();
-        let idx = DistanceIndex::compute(&g, q.source, q.target, q.k, DistanceStrategy::Single);
+        let from_s = bfs_distances_from(&g, q.source, BfsOptions::bounded_avoiding(q.k, q.target));
+        let to_t = bfs_distances_to(&g, q.target, BfsOptions::bounded_avoiding(q.k, q.source));
         for &(u, v) in spg.edges() {
-            prop_assert!(idx.edge_in_space(u, v), "edge ({u},{v}) outside search space");
+            let within = match (from_s.get(&u), to_t.get(&v)) {
+                (Some(&du), Some(&dv)) => du + 1 + dv <= q.k,
+                _ => false,
+            };
+            prop_assert!(within, "edge ({u},{v}) outside search space");
         }
     }
 }

@@ -3,7 +3,8 @@
 //! The contract under test: answering a *shuffled batch* of queries through
 //! one long-lived workspace returns bit-identical SPG edge sets to fresh
 //! single-shot `query` calls — workspace reuse can never leak state between
-//! queries, across hop constraints, endpoints, or even host graphs.
+//! queries, across hop constraints, endpoints, or even host graphs. Both
+//! equal the union of all enumerated simple paths.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -11,6 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use hop_spg::baselines::{spg_by_enumeration, EnumerationAlgorithm};
 use hop_spg::eve::{Eve, Query, QueryWorkspace};
 use hop_spg::graph::DiGraph;
 
@@ -43,7 +45,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Shuffled-batch reuse equals fresh single-shot queries, and both equal
-    /// the hash-map reference pipeline.
+    /// the enumeration oracle.
     #[test]
     fn warm_workspace_matches_fresh_queries((g, mut batch, seed) in graph_and_batch()) {
         shuffle(&mut batch, seed);
@@ -52,12 +54,13 @@ proptest! {
         for &q in &batch {
             let warm = eve.query_with(&mut ws, q).unwrap();
             let fresh = eve.query(q).unwrap();
-            let reference = eve.query_reference(q).unwrap();
+            let expected =
+                spg_by_enumeration(EnumerationAlgorithm::NaiveDfs, &g, q.source, q.target, q.k);
             prop_assert_eq!(warm.edges(), fresh.edges());
-            prop_assert_eq!(warm.edges(), reference.edges());
+            prop_assert_eq!(warm.edges(), expected.edges());
             prop_assert_eq!(
                 warm.stats().upper_bound_edges,
-                reference.stats().upper_bound_edges
+                fresh.stats().upper_bound_edges
             );
         }
     }
@@ -89,7 +92,8 @@ proptest! {
         }
     }
 
-    /// The detailed output (upper bound included) is reuse-safe too.
+    /// The detailed output (upper bound included) is reuse-safe too, and
+    /// the upper bound contains the answer.
     #[test]
     fn detailed_output_is_reuse_safe((g, mut batch, seed) in graph_and_batch()) {
         shuffle(&mut batch, seed);
@@ -97,9 +101,10 @@ proptest! {
         let mut ws = QueryWorkspace::new();
         for &q in &batch {
             let warm = eve.query_detailed_with(&mut ws, q).unwrap();
-            let reference = eve.query_detailed_reference(q).unwrap();
-            prop_assert_eq!(warm.spg.edges(), reference.spg.edges());
-            prop_assert_eq!(&warm.upper_bound, &reference.upper_bound);
+            let fresh = eve.query_detailed(q).unwrap();
+            prop_assert_eq!(warm.spg.edges(), fresh.spg.edges());
+            prop_assert_eq!(&warm.upper_bound, &fresh.upper_bound);
+            prop_assert!(warm.spg.as_subgraph().is_subgraph_of(&warm.upper_bound));
             let ub = eve.upper_bound_with(&mut ws, q).unwrap();
             prop_assert_eq!(&ub, &warm.upper_bound);
         }
