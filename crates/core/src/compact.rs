@@ -1242,6 +1242,24 @@ pub(crate) mod tests {
         }
     }
 
+    /// The upper-bound edges with ids in `eids`, as global pairs.
+    fn global_edges(p: &Phases, eids: impl IntoIterator<Item = u32>) -> Vec<(VertexId, VertexId)> {
+        eids.into_iter()
+            .map(|eid| {
+                let (u, v) = p.ub.edges()[eid as usize];
+                (p.space.global(u), p.space.global(v))
+            })
+            .collect()
+    }
+
+    /// Every upper-bound edge whose bit is set in `bits`, as global pairs.
+    fn edges_with(p: &Phases, bits: &[bool]) -> Vec<(VertexId, VertexId)> {
+        global_edges(
+            p,
+            (0..p.ub.edge_count() as u32).filter(|&eid| bits[eid as usize]),
+        )
+    }
+
     /// `EV_l` of global vertex `v` as sorted global ids; `None` if `v` has
     /// no set at level `l` or lies outside the space.
     fn ev(p: &FlatPropagation, space: &SearchSpace, l: u32, v: VertexId) -> Option<Vec<VertexId>> {
@@ -1391,8 +1409,7 @@ pub(crate) mod tests {
         assert!(fwd.stats().pruned_visits > 0);
     }
 
-    /// Essential vertex sets shrink (or stay equal) as the level grows, and
-    /// never contain the opposite endpoint.
+    /// Essential vertex sets shrink (or stay equal) as the level grows.
     #[test]
     fn levels_are_monotonically_shrinking() {
         let g = paper_example::figure1_graph();
@@ -1400,20 +1417,98 @@ pub(crate) mod tests {
         let Phases {
             space, fwd, bwd, ..
         } = phases(&g, q, false);
-        for (p, excluded) in [(&fwd, T), (&bwd, S)] {
+        for p in [&fwd, &bwd] {
             for v in g.vertices() {
                 for l in 1..q.k {
-                    let curr = ev(p, &space, l, v);
-                    if let Some(set) = &curr {
-                        assert!(!set.contains(&excluded), "EV_{l}({v}) = {set:?}");
-                    }
-                    if let (Some(prev), Some(curr)) = (ev(p, &space, l - 1, v), curr) {
+                    if let (Some(prev), Some(curr)) = (ev(p, &space, l - 1, v), ev(p, &space, l, v))
+                    {
                         assert!(
                             curr.iter().all(|x| prev.contains(x)),
                             "EV_{l}({v}) = {curr:?} must be ⊆ EV_{}({v}) = {prev:?}",
                             l - 1
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// No forward set contains t and no backward set contains s, at any
+    /// level.
+    #[test]
+    fn excluded_endpoint_is_never_part_of_a_set() {
+        let g = paper_example::figure1_graph();
+        let q = Query::new(S, T, 8);
+        let Phases {
+            space, fwd, bwd, ..
+        } = phases(&g, q, false);
+        for (p, excluded) in [(&fwd, T), (&bwd, S)] {
+            for v in g.vertices() {
+                for l in 0..q.k {
+                    if let Some(set) = ev(p, &space, l, v) {
+                        assert!(!set.contains(&excluded), "EV_{l}({v}) = {set:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Forward-looking pruning changes no set that labeling may still
+    /// consult: wherever `l` plus the remaining distance is at most k, the
+    /// pruned and unpruned runs agree, in both directions.
+    #[test]
+    fn pruning_preserves_relevant_sets() {
+        let g = paper_example::figure1_graph();
+        for k in 4..=8u32 {
+            let space = space_for(&g, Query::new(S, T, k));
+            for dir in [Direction::Forward, Direction::Backward] {
+                let mut full = FlatPropagation::default();
+                let mut pruned = FlatPropagation::default();
+                full.run(&space, dir, false);
+                pruned.run(&space, dir, true);
+                for v in 0..space.vertex_count() as u32 {
+                    for l in (1..k).filter(|&l| l + space.remaining_dist(v, dir) <= k) {
+                        assert_eq!(full.ev(l, v), pruned.ev(l, v), "k={k} {dir:?} l={l} v={v}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both directions report their work and memory, and level 0 holds
+    /// only the origin.
+    #[test]
+    fn stats_and_memory_are_reported() {
+        let g = paper_example::figure1_graph();
+        let Phases {
+            space, fwd, bwd, ..
+        } = phases(&g, Query::new(S, T, 6), true);
+        for (p, origin) in [(&fwd, S), (&bwd, T)] {
+            assert_eq!(ev(p, &space, 0, origin), Some(vec![origin]));
+            assert!(p.stats().edge_scans > 0);
+            assert!(p.stats().sets_stored > 1);
+            assert!((1..6).contains(&p.stats().levels_run));
+            assert!(p.memory_bytes() > 0);
+            assert!(p.retained_bytes() >= p.memory_bytes());
+        }
+    }
+
+    /// On Figure 1 at every k, the pruned forward run holds the
+    /// Definition 3.1 value in every set labeling may consult
+    /// (`l + Δ(v,t) ≤ k`, Theorem 3.6), the endpoints' included.
+    #[test]
+    fn flat_propagation_matches_definition_on_consultable_sets() {
+        let g = paper_example::figure1_graph();
+        for k in 2..=8u32 {
+            let Phases { space, fwd, .. } = phases(&g, Query::new(S, T, k), true);
+            for local in 0..space.vertex_count() as u32 {
+                let v = space.global(local);
+                for l in (1..k).filter(|&l| l + space.dist_to_t(local) <= k) {
+                    assert_eq!(
+                        ev(&fwd, &space, l, v),
+                        brute_force_ev(&g, S, v, T, l),
+                        "k={k} l={l} v={v}"
+                    );
                 }
             }
         }
@@ -1462,29 +1557,32 @@ pub(crate) mod tests {
         assert!(checked > 200, "only {checked} sets checked");
     }
 
-    /// Arena set operators match the set algebra on plain sorted vectors.
+    /// Appends the sorted run `items` to the arena.
+    fn alloc_run(arena: &mut Vec<u32>, items: &[u32]) -> u64 {
+        let start = arena.len();
+        arena.extend_from_slice(items);
+        pack(start, items.len())
+    }
+
+    /// Arena set operators match the set algebra on plain sorted vectors,
+    /// over random runs drawn from `0..12`.
     #[test]
     fn arena_operators_match_evset() {
-        let cases: Vec<(Vec<u32>, Vec<u32>, u32)> = vec![
-            (vec![0, 2, 5, 9], vec![2, 9], 5),
-            (vec![0, 2, 5, 9], vec![], 5),
-            (vec![1, 2, 3], vec![1, 2, 3], 0),
-            (vec![4, 6, 8], vec![1, 3, 5], 8),
-            (vec![4, 6, 8], vec![1, 3, 5], 0),
-        ];
-        for (a, b, extra) in cases {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        let run = |rng: &mut StdRng| {
+            let mut v: Vec<u32> = (0..rng.gen_range(0..6))
+                .map(|_| rng.gen_range(0..12))
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        for _ in 0..200 {
+            let (a, b, extra) = (run(&mut rng), run(&mut rng), rng.gen_range(0..12));
             let mut arena = Vec::new();
-            let ra = {
-                let start = arena.len();
-                arena.extend_from_slice(&a);
-                pack(start, a.len())
-            };
-            let rb = {
-                let start = arena.len();
-                arena.extend_from_slice(&b);
-                pack(start, b.len())
-            };
-            // a ∩ (b ∪ {extra})
+            let (ra, rb) = (alloc_run(&mut arena, &a), alloc_run(&mut arena, &b));
             let fused = alloc_intersect_with_added(&mut arena, ra, rb, extra);
             let expected: Vec<u32> = a
                 .iter()
@@ -1493,7 +1591,6 @@ pub(crate) mod tests {
                 .collect();
             assert_eq!(set_slice(&arena, fused), expected.as_slice());
 
-            // a ∪ {extra}
             let with = alloc_with(&mut arena, ra, extra);
             let mut expected = a.clone();
             expected.push(extra);
@@ -1503,6 +1600,7 @@ pub(crate) mod tests {
 
             assert_eq!(sorted_contains(&a, extra), a.contains(&extra));
             assert_eq!(sorted_disjoint(&a, &b), !a.iter().any(|x| b.contains(x)));
+            assert_eq!(refs_equal(&arena, ra, rb), a == b);
         }
         let mut arena = Vec::new();
         let s = alloc_singleton(&mut arena, 7);
@@ -1511,27 +1609,93 @@ pub(crate) mod tests {
         assert!(!refs_equal(&arena, s, NONE_REF));
     }
 
+    /// Membership, and `∪ {v}` that inserts in order, never duplicates and
+    /// leaves its source run as it was.
+    #[test]
+    fn arena_membership_and_insert() {
+        let mut arena = Vec::new();
+        let s = alloc_run(&mut arena, &[2, 4]);
+        assert!(sorted_contains(set_slice(&arena, s), 2));
+        assert!(!sorted_contains(set_slice(&arena, s), 3));
+        let once = alloc_with(&mut arena, s, 3);
+        let twice = alloc_with(&mut arena, once, 3);
+        assert_eq!(set_slice(&arena, twice), &[2, 3, 4]);
+        let front = alloc_with(&mut arena, twice, 0);
+        assert_eq!(set_slice(&arena, front), &[0, 2, 3, 4]);
+        let back = alloc_with(&mut arena, s, 9);
+        assert_eq!(set_slice(&arena, back), &[2, 4, 9]);
+        assert_eq!(set_slice(&arena, s), &[2, 4], "∪ must not touch its source");
+    }
+
+    /// Disjointness of sorted runs, empty runs included.
+    #[test]
+    fn sorted_runs_disjointness() {
+        assert!(sorted_disjoint(&[1, 3], &[2, 4]));
+        assert!(!sorted_disjoint(&[1, 3], &[3, 4]));
+        assert!(!sorted_disjoint(&[0, 9], &[9]));
+        assert!(sorted_disjoint(&[], &[1]));
+        assert!(sorted_disjoint(&[5], &[]));
+    }
+
+    /// The fused `a ∩ (b ∪ {y})` equals the arena's own `b ∪ {y}` followed
+    /// by a plain intersection with `a`.
+    #[test]
+    fn fused_operator_matches_naive_union_then_intersect() {
+        let cases: [(&[u32], &[u32], u32); 6] = [
+            (&[0, 2, 5, 9], &[2, 9], 5),
+            (&[0, 2, 5, 9], &[], 5),
+            (&[], &[1, 2], 3),
+            (&[1, 2, 3], &[1, 2, 3], 0),
+            (&[4, 6, 8], &[1, 3, 5], 8),
+            (&[4, 6, 8], &[1, 3, 5], 0),
+        ];
+        for (a, b, extra) in cases {
+            let mut arena = Vec::new();
+            let (ra, rb) = (alloc_run(&mut arena, a), alloc_run(&mut arena, b));
+            let fused = alloc_intersect_with_added(&mut arena, ra, rb, extra);
+            let union = alloc_with(&mut arena, rb, extra);
+            let naive: Vec<u32> = a
+                .iter()
+                .copied()
+                .filter(|x| set_slice(&arena, union).contains(x))
+                .collect();
+            assert_eq!(
+                set_slice(&arena, fused),
+                naive.as_slice(),
+                "a={a:?} b={b:?} y={extra}"
+            );
+        }
+    }
+
     /// End-to-end flat pipeline on the Figure 1 example at k = 7: the
-    /// Figure 6(c) labels (Examples 4.2, 4.5 and 4.7 among them) and the
-    /// Example 5.7 verification outcome.
+    /// upper bound's twelve edges, and the eleven verification keeps.
     #[test]
     fn flat_pipeline_reproduces_figure_fixtures() {
         let g = paper_example::figure1_graph();
-        let Phases { space, ub, .. } = phases(&g, Query::new(S, T, 7), true);
+        let p = phases(&g, Query::new(S, T, 7), true);
+        assert_eq!(p.ub.stats().edges_examined, 13);
+        assert_eq!(p.ub.stats().failing, 1);
+        // Every Figure 1 edge but (b, j), the failing edge of Example 4.2.
+        let mut expected = paper_example::figure1_edges();
+        expected.retain(|&e| e != (B, J));
+        expected.sort_unstable();
+        assert_eq!(global_edges(&p, 0..p.ub.edge_count() as u32), expected);
 
-        assert_eq!(ub.stats().edges_examined, 13);
-        assert_eq!(ub.stats().failing, 1);
-        assert_eq!(ub.edge_count(), 12);
+        let mut scratch = VerifyScratch::default();
+        let stats = verify_flat(&p.ub, &mut scratch);
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.confirmed, 2);
+        expected.retain(|&e| e != (B, A));
+        assert_eq!(edges_with(&p, scratch.result()), expected);
+    }
 
-        let global = |eid: u32| {
-            let (u, v) = ub.edges()[eid as usize];
-            (space.global(u), space.global(v))
-        };
-        let definite: Vec<(VertexId, VertexId)> = (0..ub.edge_count() as u32)
-            .filter(|&eid| ub.definite_bits()[eid as usize])
-            .map(global)
-            .collect();
-        let mut expected_definite = vec![
+    /// Figure 6(c): the definite/undetermined split of the running example
+    /// at k = 7; (b, j), the failing edge of Example 4.2, is in neither.
+    #[test]
+    fn figure6c_labels_for_k7() {
+        let g = paper_example::figure1_graph();
+        let p = phases(&g, Query::new(S, T, 7), true);
+        let mut expected = vec![
             (S, A),
             (S, C),
             (A, C),
@@ -1542,43 +1706,71 @@ pub(crate) mod tests {
             (H, B),
             (B, T),
         ];
-        expected_definite.sort_unstable();
-        assert_eq!(definite, expected_definite);
-        let undetermined: Vec<(VertexId, VertexId)> = ub
-            .undetermined_eids()
-            .iter()
-            .map(|&eid| global(eid))
-            .collect();
+        expected.sort_unstable();
+        assert_eq!(edges_with(&p, p.ub.definite_bits()), expected);
         // In ascending id order: b = 5, i = 6, j = 7.
+        let undetermined = global_edges(&p, p.ub.undetermined_eids().iter().copied());
         assert_eq!(undetermined, vec![(B, A), (I, J), (J, H)]);
-        // Example 4.5 and 4.7: first- and second-hop edges are definite.
+        assert!(!global_edges(&p, 0..p.ub.edge_count() as u32).contains(&(B, J)));
+        assert_eq!(p.ub.stats().failing, 1);
+    }
+
+    /// Examples 4.5 and 4.7: e(s, a) and e(a, i) are definite at k = 7.
+    #[test]
+    fn examples_4_5_and_4_7() {
+        let g = paper_example::figure1_graph();
+        let p = phases(&g, Query::new(S, T, 7), true);
+        let definite = edges_with(&p, p.ub.definite_bits());
         assert!(definite.contains(&(S, A)));
         assert!(definite.contains(&(A, I)));
-        // (B, J) is the failing edge of Example 4.2.
-        assert!(!definite.contains(&(B, J)) && !undetermined.contains(&(B, J)));
+    }
 
-        // Both adjacency directions index every edge by its dense id.
+    /// Both adjacency directions index every upper-bound edge by its id,
+    /// and nothing else.
+    #[test]
+    fn adjacency_of_upper_bound_graph_is_consistent() {
+        let g = paper_example::figure1_graph();
+        let Phases { space, ub, .. } = phases(&g, Query::new(S, T, 7), true);
         for (eid, &(u, v)) in ub.edges().iter().enumerate() {
             assert!(ub.out_entries_of(u).contains(&(v, eid as u32)));
             assert!(ub.in_entries_of(v).contains(&(u, eid as u32)));
         }
+        let vertices = 0..ub.vertex_count() as u32;
+        let out: usize = vertices.clone().map(|v| ub.out_entries_of(v).len()).sum();
+        let inc: usize = vertices.map(|v| ub.in_entries_of(v).len()).sum();
+        assert_eq!((out, inc), (ub.edge_count(), ub.edge_count()));
         assert!(ub.out_entries_of(space.local_of(T).unwrap()).is_empty());
+        assert!(ub.memory_bytes() > 0);
+        assert_eq!(ub.hop_constraint(), 7);
+    }
 
-        // Example 5.7: verifying e(i, j) finds the witness q* = {i, j, h},
-        // which also confirms e(j, h); e(b, a) is rejected (Lemma 3.3).
+    /// Example 5.7: verifying e(i, j) finds the witness q* = {i, j, h},
+    /// which also confirms e(j, h); e(b, a) lies on no simple s-t path
+    /// (Lemma 3.3) and is rejected.
+    #[test]
+    fn example_5_7_and_redundant_edge_rejection() {
+        let g = paper_example::figure1_graph();
+        let p = phases(&g, Query::new(S, T, 7), true);
         let mut scratch = VerifyScratch::default();
-        let stats = verify_flat(&ub, &mut scratch);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.confirmed, 2);
+        let stats = verify_flat(&p.ub, &mut scratch);
+        let kept = edges_with(&p, scratch.result());
+        assert!(kept.contains(&(I, J)) && kept.contains(&(J, H)));
+        assert!(!kept.contains(&(B, A)) && !kept.contains(&(B, J)));
+        assert_eq!(kept.len(), 11);
+        assert_eq!((stats.rejected, stats.confirmed), (1, 2));
         assert!(stats.covered_by_witness >= 1);
-        let confirmed: Vec<(VertexId, VertexId)> = (0..ub.edge_count() as u32)
-            .filter(|&eid| scratch.result()[eid as usize])
-            .map(global)
-            .collect();
-        assert_eq!(confirmed.len(), 11);
-        assert!(!confirmed.contains(&(B, A)));
-        assert!(confirmed.contains(&(I, J)));
-        assert!(confirmed.contains(&(J, H)));
+    }
+
+    /// Theorem 4.8: for k ≤ 4 the upper bound is exact; on the running
+    /// example it has exactly the Figure 1(c) edges and none undetermined.
+    #[test]
+    fn upper_bound_is_exact_for_k4_on_figure1() {
+        let g = paper_example::figure1_graph();
+        let p = phases(&g, Query::new(S, T, 4), true);
+        let mut expected = paper_example::figure1c_spg4_edges();
+        expected.sort_unstable();
+        assert_eq!(global_edges(&p, 0..p.ub.edge_count() as u32), expected);
+        assert!(p.ub.undetermined_eids().is_empty());
     }
 
     /// Figure 7(b): departures with `In_D` and arrivals with `Out_A` for
@@ -1660,18 +1852,14 @@ pub(crate) mod tests {
                 (3, 1),
             ],
         );
-        let Phases { space, mut ub, .. } = phases(&g, Query::new(0, 5, 5), true);
-        apply_search_ordering_flat(&mut ub, &mut OrderScratch::default());
+        let mut p = phases(&g, Query::new(0, 5, 5), true);
+        apply_search_ordering_flat(&mut p.ub, &mut OrderScratch::default());
         let mut scratch = VerifyScratch::default();
-        verify_flat(&ub, &mut scratch);
-        let answer: Vec<(VertexId, VertexId)> = ub
-            .edges()
-            .iter()
-            .zip(scratch.result())
-            .filter(|(_, &keep)| keep)
-            .map(|(&(u, v), _)| (space.global(u), space.global(v)))
-            .collect();
-        assert_eq!(answer, brute_force_spg(&g, 0, 5, 5));
+        verify_flat(&p.ub, &mut scratch);
+        assert_eq!(
+            edges_with(&p, scratch.result()),
+            brute_force_spg(&g, 0, 5, 5)
+        );
     }
 
     #[test]
@@ -1702,6 +1890,59 @@ pub(crate) mod tests {
             verify_flat(&ub, &mut scratch);
             assert_eq!(scratch.result(), plain.as_slice(), "k={k}");
             assert!(order.retained_bytes() > 0);
+        }
+    }
+
+    /// Search ordering changes only the work: on random graphs, an upper
+    /// bound verified as built and one verified after ordering keep the
+    /// same edges.
+    #[test]
+    fn ordering_is_answer_preserving() {
+        let (mut scratch, mut order) = (VerifyScratch::default(), OrderScratch::default());
+        let mut undetermined = 0;
+        for case in 0..30u64 {
+            let n = 6 + case as usize % 8;
+            let g = spg_graph::generators::gnm_random(n, 3 * n, 700 + case);
+            let q = Query::new(0, (n - 1) as u32, 5 + case as u32 % 3);
+            let plain = phases(&g, q, true);
+            verify_flat(&plain.ub, &mut scratch);
+            let expected = edges_with(&plain, scratch.result());
+            let mut ordered = phases(&g, q, true);
+            apply_search_ordering_flat(&mut ordered.ub, &mut order);
+            verify_flat(&ordered.ub, &mut scratch);
+            assert_eq!(
+                edges_with(&ordered, scratch.result()),
+                expected,
+                "case {case}"
+            );
+            undetermined += plain.ub.undetermined_eids().len();
+        }
+        assert!(undetermined > 0, "no case needed verification");
+    }
+
+    /// Verification keeps exactly the brute-force answer on random graphs,
+    /// with search ordering applied in every other case.
+    #[test]
+    fn verification_matches_bruteforce_on_random_graphs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(55);
+        let mut scratch = VerifyScratch::default();
+        for case in 0..30 {
+            let n = rng.gen_range(6..12);
+            let m = rng.gen_range(n..3 * n);
+            let g = spg_graph::generators::gnm_random(n, m, 500 + case);
+            let (s, t, k) = (0u32, (n - 1) as u32, rng.gen_range(5..8));
+            let mut p = phases(&g, Query::new(s, t, k), true);
+            if case % 2 == 0 {
+                apply_search_ordering_flat(&mut p.ub, &mut OrderScratch::default());
+            }
+            verify_flat(&p.ub, &mut scratch);
+            assert_eq!(
+                edges_with(&p, scratch.result()),
+                brute_force_spg(&g, s, t, k),
+                "case {case} n={n} m={m} k={k}"
+            );
         }
     }
 }

@@ -501,6 +501,29 @@ mod tests {
         }
     }
 
+    /// The fresh and the workspace entry points, plain and detailed, give
+    /// the brute-force answer on Figure 1 at every k, the workspace ones on
+    /// one reused workspace.
+    #[test]
+    fn entry_points_agree_on_figure1() {
+        let g = paper_example::figure1_graph();
+        let eve = Eve::with_defaults(&g);
+        let mut ws = QueryWorkspace::new();
+        for k in 1..=8u32 {
+            let q = Query::new(S, T, k);
+            let expected = brute_force_spg(&g, S, T, k);
+            let answers = [
+                eve.query(q).unwrap(),
+                eve.query_with(&mut ws, q).unwrap(),
+                eve.query_detailed(q).unwrap().spg,
+                eve.query_detailed_with(&mut ws, q).unwrap().spg,
+            ];
+            for (i, spg) in answers.iter().enumerate() {
+                assert_eq!(spg.edges(), expected.as_slice(), "k={k} entry point {i}");
+            }
+        }
+    }
+
     #[test]
     fn infeasible_and_invalid_queries() {
         let g = paper_example::figure1_graph();

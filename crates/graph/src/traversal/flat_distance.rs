@@ -471,6 +471,33 @@ mod tests {
         )
     }
 
+    /// Every strategy against the BFS oracle on Figure 1 at every k:
+    /// feasibility, both distances and search-space membership of every
+    /// vertex.
+    #[test]
+    fn agrees_with_bfs_oracle_on_all_strategies() {
+        let g = figure1();
+        let mut flat = FlatDistances::new();
+        for k in 1..=8u32 {
+            let oracle = search_space_oracle(&g, 0, 3, k);
+            for strategy in DistanceStrategy::ALL {
+                flat.compute(&g, 0, 3, k, strategy);
+                assert_eq!(flat.is_feasible(), oracle[3].0 != INF_DIST, "k={k}");
+                for v in g.vertices() {
+                    let (df, db) = oracle[v as usize];
+                    let name = strategy.name();
+                    assert_eq!(flat.dist_from_s(v), df, "{name} k={k} v={v}");
+                    assert_eq!(flat.dist_to_t(v), db, "{name} k={k} v={v}");
+                    assert_eq!(
+                        flat.in_search_space(v),
+                        df != INF_DIST,
+                        "{name} k={k} v={v}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Every strategy against the BFS oracle, every vertex, on random
     /// graphs at several hop bounds.
     #[test]
