@@ -8,7 +8,9 @@
 //! directions: every produced literal must appear verbatim in the doc
 //! (statuses as `status: <value>`), and every wire string the doc's
 //! `QueryError` taxonomy table promises (plus every `status: <value>` it
-//! mentions) must actually be produced by source.
+//! mentions) must actually be produced by source. The rule fails closed: a
+//! `protocol.rs` in which it finds no status producer is reported itself,
+//! so a status written some other way cannot switch the checks off.
 
 use std::collections::BTreeSet;
 
@@ -36,6 +38,7 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     };
     let mut wire: Vec<Produced> = Vec::new();
     let mut statuses: Vec<Produced> = Vec::new();
+    let mut diags = Vec::new();
     if let Some(file) = ws.file(QUERY_RS) {
         wire.extend(display_templates(file, "QueryError"));
     }
@@ -44,14 +47,24 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     }
     if let Some(file) = ws.file(PROTOCOL_RS) {
         let (status_lits, error_lits) = protocol_literals(file);
+        if status_lits.is_empty() {
+            // Fail closed: a status this rule cannot see is one it cannot
+            // hold to the doc.
+            diags.push(Diagnostic {
+                file: file.rel.clone(),
+                line: 1,
+                rule: NAME,
+                message: format!(
+                    "no status producer found: wire statuses must be built as \
+                     `(\"status\".into(), Json::Str(\"<value>\".into()))` so they \
+                     can be checked against {DOC}"
+                ),
+            });
+        }
         statuses.extend(status_lits);
         wire.extend(error_lits);
     }
-    if wire.is_empty() && statuses.is_empty() {
-        return Vec::new();
-    }
 
-    let mut diags = Vec::new();
     for produced in &wire {
         if !doc.contains(&produced.text) {
             diags.push(Diagnostic {
@@ -93,7 +106,7 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     }
     let status_set: BTreeSet<&str> = statuses.iter().map(|p| p.text.as_str()).collect();
     for (line, status) in doc_statuses(&doc) {
-        if !status_set.is_empty() && !status_set.contains(status.as_str()) {
+        if !status_set.contains(status.as_str()) {
             diags.push(Diagnostic {
                 file: DOC.to_string(),
                 line,

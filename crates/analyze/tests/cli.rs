@@ -18,6 +18,8 @@ fn each_violation_fixture_exits_nonzero_with_diagnostics_on_stdout() {
         "lock_order",
         "hot_loop",
         "wire_drift",
+        "wire_drift_status",
+        "wire_drift_no_status",
         "failpoints",
         "hygiene",
     ] {

@@ -89,6 +89,42 @@ fn wire_drift_fixture_flags_both_directions() {
 }
 
 #[test]
+fn wire_drift_status_fixture_flags_both_directions() {
+    let diags = lint("wire_drift_status");
+    assert_eq!(
+        rows(&diags),
+        vec![
+            ("crates/server/src/protocol.rs", 8, "wire-drift"), // undocumented status
+            ("docs/robustness.md", 4, "wire-drift"),            // unproduced status
+        ],
+        "diagnostics: {diags:?}"
+    );
+    assert!(diags[0]
+        .3
+        .contains("wire status `teapot` is not documented as `status: teapot`"));
+    assert!(diags[1]
+        .3
+        .contains("documented `status: ghost` is not produced"));
+}
+
+#[test]
+fn wire_drift_fails_closed_when_protocol_yields_no_status() {
+    let diags = lint("wire_drift_no_status");
+    assert_eq!(
+        rows(&diags),
+        vec![
+            ("crates/server/src/protocol.rs", 1, "wire-drift"), // no producer seen
+            ("docs/robustness.md", 3, "wire-drift"),            // so nothing is produced
+        ],
+        "diagnostics: {diags:?}"
+    );
+    assert!(diags[0].3.contains("no status producer found"));
+    assert!(diags[1]
+        .3
+        .contains("documented `status: bogus` is not produced"));
+}
+
+#[test]
 fn failpoints_fixture_flags_registry_chaos_and_callsite_drift() {
     let diags = lint("failpoints");
     let registry = "crates/core/src/failpoints.rs";

@@ -424,23 +424,47 @@ pub fn write(value: &Json, out: &mut String) {
     }
 }
 
-/// Appends the decimal digits of `v` to `out`. The wire's one integer
-/// formatter: [`write`] and the reply encoder in `protocol.rs` both use it,
-/// so no integer goes through a temporary `String` or `core::fmt`.
-pub(crate) fn write_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
-    let mut at = digits.len();
-    loop {
+/// Decimal digits of `u64::MAX`, the widest integer the wire carries.
+pub(crate) const U64_DIGITS: usize = 20;
+
+/// The two ASCII digits of every value below 100, in order: `00`, `01`, …,
+/// `99`.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes the decimal digits of `v` right-aligned at the end of `buf`, two
+/// per step from [`DIGIT_PAIRS`], and returns the index of the first digit.
+/// The wire's one integer formatter: [`write_u64`] and the `ok` reply
+/// writer in `protocol.rs` both use it. `buf` must hold the digits:
+/// [`U64_DIGITS`] bytes for any `u64`, 10 for a `u32`.
+pub(crate) fn put_digits(buf: &mut [u8], mut v: u64) -> usize {
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+        buf[at] = b'0' + v as u8;
     }
-    for &d in &digits[at..] {
-        out.push(char::from(d));
-    }
+    at
+}
+
+/// Appends the decimal digits of `v` to `out` through [`put_digits`].
+pub(crate) fn write_u64(out: &mut String, v: u64) {
+    let mut digits = [0u8; U64_DIGITS];
+    let start = put_digits(&mut digits, v);
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 /// [`write`] into a fresh string.

@@ -9,7 +9,7 @@
 //!   --batch-max N            micro-batch size cap          (default 64)
 //!   --batch-deadline-us N    batch-forming deadline in µs  (default 0: drain what is queued)
 //!   --queue-cap N            admission queue bound         (default 1024)
-//!   --max-frame BYTES        frame payload cap             (default 1 MiB)
+//!   --max-frame BYTES        request frame payload cap     (default 1 MiB)
 //!   --rate R                 per-tenant requests/second    (default off)
 //!   --burst B                per-tenant burst tokens       (default 64)
 //!   --threads N              parked drain workers          (default auto; 1: drain on the batcher)

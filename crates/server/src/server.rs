@@ -29,11 +29,14 @@
 //! every reply of the drain — answers, engine errors, or the error of a
 //! contained panic — into one buffer per connection, in slot order, and
 //! writes each buffer with a single `write_all`, so a drain costs each
-//! connection one write however many of its requests it answered. Shed
-//! `expired` replies go out before the drain runs. Writes to one
+//! connection one write however many of its requests it answered. An `ok`
+//! answer is encoded once, as a complete frame, straight into that buffer.
+//! Shed `expired` replies go out before the drain runs. Writes to one
 //! connection are serialised by its write lock, so frames never
 //! interleave; inline replies and drain replies may still arrive out of
-//! request order (clients correlate by `id`).
+//! request order (clients correlate by `id`). A client that stops reading
+//! blocks the batcher for at most one write timeout: the timed-out
+//! connection is hung up, and its later replies are dropped.
 //!
 //! ## Streaming updates
 //!
@@ -76,7 +79,7 @@
 //! engine that silently keeps accepting connections is exactly the bug this
 //! guards against.
 
-use std::io::{BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -93,7 +96,7 @@ use spg_graph::{DiGraph, EdgeDelta, VersionedGraph};
 use crate::admission::{BatchQueue, RateLimiter};
 use crate::json::{self, Json};
 use crate::protocol::{
-    self, error_response, expired_response, ok_response, overloaded_response, pong_response,
+    self, error_response, expired_response, overloaded_response, pong_response,
     query_error_response, update_response, FrameError, Request,
 };
 
@@ -112,7 +115,8 @@ pub struct ServerConfig {
     /// Bound on queries admitted but not yet drained; pushes beyond it are
     /// refused with `overloaded`.
     pub queue_capacity: usize,
-    /// Cap on request/response frame payloads.
+    /// Cap on request frame payloads; a larger request is answered with an
+    /// error and its connection closed. Replies are never capped.
     pub max_frame_bytes: usize,
     /// Per-tenant admission rate (requests/second); ≤ 0 disables limiting.
     pub rate_per_sec: f64,
@@ -200,6 +204,15 @@ struct PendingQuery {
     conn: Arc<Connection>,
 }
 
+/// How long a client may leave a buffer of replies unread before the server
+/// hangs up on it. A write blocks only once the client has left the
+/// kernel's send and receive buffers full, and one batcher writes every
+/// connection's drain replies, so a client that stops reading holds every
+/// other connection's replies for about this long, once. One second is far
+/// past the scheduling hiccup of a client that is still reading, and a
+/// tenth of the 10 s reply timeout of perfbench's load generator.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Write half of one client connection. Reads happen in the connection's
 /// own thread through a clone of the stream; writes come from the
 /// connection thread and the batcher and are serialised by the lock so
@@ -207,9 +220,22 @@ struct PendingQuery {
 struct Connection {
     stream: TcpStream,
     write_lock: Mutex<()>,
+    /// Set, under `write_lock`, once a write has failed or timed out. That
+    /// write may have sent part of a frame, so nothing is written after it.
+    /// It publishes no other data: reads under the lock are exact, and a
+    /// stale read outside it only encodes a reply that is then skipped.
+    write_failed: AtomicBool,
 }
 
 impl Connection {
+    fn new(stream: TcpStream) -> Connection {
+        Connection {
+            stream,
+            write_lock: Mutex::new(()),
+            write_failed: AtomicBool::new(false),
+        }
+    }
+
     /// Writes one response frame (see [`Connection::send_frames`]).
     fn send(&self, payload: &str) {
         let mut frame = Vec::new();
@@ -219,19 +245,54 @@ impl Connection {
         }
     }
 
-    /// Writes a buffer of whole frames with one `write_all`; errors are
-    /// deliberately swallowed (the peer may have hung up while its query
-    /// computed, which is its right).
+    /// Writes a buffer of whole frames, giving the peer [`WRITE_TIMEOUT`] to
+    /// take it. A failed or timed-out write hangs the connection up and
+    /// every later buffer is skipped. The error itself is swallowed (the
+    /// peer may have hung up while its query computed, which is its right).
     fn send_frames(&self, frames: &[u8]) {
         let _guard = self.write_lock.lock().expect("connection writer"); // lock: server.conn_write
-        let mut stream = &self.stream;
-        let _ = stream.write_all(frames);
+        if self.write_failed() {
+            return;
+        }
+        if write_all_within(&self.stream, frames, WRITE_TIMEOUT).is_err() {
+            self.write_failed.store(true, Ordering::Relaxed);
+            self.hang_up();
+        }
+    }
+
+    /// Whether a write to this connection has failed: its replies are
+    /// dropped from then on.
+    fn write_failed(&self) -> bool {
+        self.write_failed.load(Ordering::Relaxed)
     }
 
     /// Unblocks the reader thread (used at shutdown).
     fn hang_up(&self) {
         let _ = self.stream.shutdown(Shutdown::Both);
     }
+}
+
+/// `write_all` that fails once `buf` has not left within `timeout`. Each
+/// `write` blocks for at most the socket's write timeout, [`WRITE_TIMEOUT`]
+/// on a server connection, so this gives up within twice `timeout`. A
+/// `write_all` alone would not: a blocked `write` that has taken a few bytes
+/// returns them instead of its timeout, and the kernel's growing buffers
+/// made three such writes in a row.
+fn write_all_within(stream: &TcpStream, mut buf: &[u8], timeout: Duration) -> io::Result<()> {
+    let mut stream = stream;
+    let started = Instant::now();
+    while !buf.is_empty() {
+        match stream.write(buf) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if !buf.is_empty() && started.elapsed() >= timeout {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+    }
+    Ok(())
 }
 
 /// Everything the server's threads share.
@@ -450,13 +511,14 @@ const READ_BUF_BYTES: usize = 64 << 10;
 /// for which thread answers what).
 fn connection_loop(state: &Arc<ServerState>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
+    // A connection whose writes cannot be bounded could wedge the batcher.
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+        return;
+    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let conn = Arc::new(Connection {
-        stream,
-        write_lock: Mutex::new(()),
-    });
+    let conn = Arc::new(Connection::new(stream));
     state
         .connections
         .lock() // lock: server.connections
@@ -659,10 +721,9 @@ fn answer_batch(state: &ServerState, executor: &BatchExecutor, batch: &[PendingQ
                         state.counters.answered.fetch_add(1, Ordering::Relaxed);
                         let source =
                             outcome.slot_sources[i].expect("ok slots always carry a cache outcome"); // spg-analyze: allow(no-panic) — ok slots always carry a cache outcome
-                        replies.push(
-                            &pending.conn,
-                            &ok_response(pending.id, source, spg.query().k, spg.edges()),
-                        );
+                        replies.push(&pending.conn, |out| {
+                            protocol::write_ok(out, pending.id, source, spg.query().k, spg.edges());
+                        });
                     }
                     Err(err) => {
                         state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
@@ -672,7 +733,8 @@ fn answer_batch(state: &ServerState, executor: &BatchExecutor, batch: &[PendingQ
                                 .deadline_exceeded
                                 .fetch_add(1, Ordering::Relaxed);
                         }
-                        replies.push(&pending.conn, &query_error_response(pending.id, err));
+                        let reply = query_error_response(pending.id, err);
+                        replies.push(&pending.conn, |out| out.extend_from_slice(reply.as_bytes()));
                     }
                 }
             }
@@ -682,10 +744,9 @@ fn answer_batch(state: &ServerState, executor: &BatchExecutor, batch: &[PendingQ
             // unwind, joiners in other drains recompute, we keep serving.
             for pending in &live {
                 state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
-                replies.push(
-                    &pending.conn,
-                    &error_response(Some(pending.id), "internal error: batch execution panicked"),
-                );
+                let reply =
+                    error_response(Some(pending.id), "internal error: batch execution panicked");
+                replies.push(&pending.conn, |out| out.extend_from_slice(reply.as_bytes()));
             }
         }
     }
@@ -701,8 +762,12 @@ struct DrainReplies<'a> {
 }
 
 impl<'a> DrainReplies<'a> {
-    /// Appends `payload` as one frame to `conn`'s buffer.
-    fn push(&mut self, conn: &'a Arc<Connection>, payload: &str) {
+    /// Appends one frame to `conn`'s buffer, its payload written in place
+    /// by `write_payload`; a connection whose write has failed gets none.
+    fn push(&mut self, conn: &'a Arc<Connection>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+        if conn.write_failed() {
+            return;
+        }
         let at = match self.buffers.iter().position(|(c, _)| Arc::ptr_eq(c, conn)) {
             Some(at) => at,
             None => {
@@ -711,10 +776,11 @@ impl<'a> DrainReplies<'a> {
             }
         };
         // Only a payload past the u32 length prefix fails; it is dropped.
-        let _ = protocol::write_frame(&mut self.buffers[at].1, payload.as_bytes());
+        let _ = protocol::append_frame(&mut self.buffers[at].1, write_payload);
     }
 
-    /// Writes each connection's buffer with one `write_all`.
+    /// Writes each connection's buffer in one bounded write
+    /// ([`Connection::send_frames`]).
     fn send(self) {
         for (conn, frames) in &self.buffers {
             conn.send_frames(frames);
@@ -844,6 +910,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spg_core::CacheOutcome;
 
     /// The server's admission queue is built earliest-deadline-first: when a
     /// backlog exceeds `batch_max`, a tight deadline queued behind lax and
@@ -858,10 +925,7 @@ mod tests {
         let server = SpgServer::bind(DiGraph::from_edges(2, [(0, 1)]), "127.0.0.1:0", config)
             .expect("bind loopback");
         let stream = TcpStream::connect(server.local_addr()).expect("connect loopback");
-        let conn = Arc::new(Connection {
-            stream,
-            write_lock: Mutex::new(()),
-        });
+        let conn = Arc::new(Connection::new(stream));
         let now = Instant::now();
         let pending = |id, deadline| PendingQuery {
             id,
@@ -880,5 +944,59 @@ mod tests {
         let ids = |batch: Vec<PendingQuery>| -> Vec<u64> { batch.iter().map(|p| p.id).collect() };
         assert_eq!(ids(queue.next_batch().expect("first batch")), vec![3, 1]);
         assert_eq!(ids(queue.next_batch().expect("second batch")), vec![2]);
+    }
+
+    /// Two connections' slots interleave in one drain: each connection's
+    /// buffer splits, frame by frame, into exactly its own replies in slot
+    /// order.
+    #[test]
+    fn drain_replies_frame_each_connection_in_slot_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let connect = || Arc::new(Connection::new(TcpStream::connect(addr).expect("connect")));
+        let (a, b) = (connect(), connect());
+        let error = query_error_response(3, &QueryError::ZeroHopConstraint);
+
+        let mut replies = DrainReplies::default();
+        replies.push(&a, |out| {
+            protocol::write_ok(out, 1, CacheOutcome::Hit, 4, &[(0, 3), (3, 5)]);
+        });
+        replies.push(&b, |out| {
+            protocol::write_ok(out, 2, CacheOutcome::Miss, 6, &[])
+        });
+        replies.push(&a, |out| out.extend_from_slice(error.as_bytes()));
+        replies.push(&b, |out| {
+            protocol::write_ok(out, 4, CacheOutcome::Coalesced, u32::MAX, &[(u32::MAX, 0)]);
+        });
+
+        let expected: [(&Arc<Connection>, [&str; 2]); 2] = [
+            (
+                &a,
+                [
+                    r#"{"id":1,"status":"ok","source":"hit","k":4,"edges":[[0,3],[3,5]]}"#,
+                    r#"{"id":3,"status":"error","error":"hop constraint k must be at least 1"}"#,
+                ],
+            ),
+            (
+                &b,
+                [
+                    r#"{"id":2,"status":"ok","source":"miss","k":6,"edges":[]}"#,
+                    r#"{"id":4,"status":"ok","source":"coalesced","k":4294967295,"edges":[[4294967295,0]]}"#,
+                ],
+            ),
+        ];
+        assert_eq!(replies.buffers.len(), expected.len());
+        for ((conn, frames), (want_conn, want)) in replies.buffers.iter().zip(expected) {
+            assert!(Arc::ptr_eq(conn, want_conn), "buffers open in slot order");
+            let mut cursor = std::io::Cursor::new(frames.as_slice());
+            for payload in want {
+                let frame = protocol::read_frame(&mut cursor, 1 << 10).expect("a whole frame");
+                assert_eq!(String::from_utf8(frame).expect("ASCII payload"), payload);
+            }
+            assert!(matches!(
+                protocol::read_frame(&mut cursor, 1 << 10),
+                Err(FrameError::Closed)
+            ));
+        }
     }
 }

@@ -7,16 +7,19 @@
 //! overload must surface as explicit `overloaded` responses, never as a
 //! hang or a dropped connection.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spg_core::{Eve, EveConfig, Query};
 use spg_graph::generators::gnm_random;
 use spg_graph::DiGraph;
 use spg_server::json::Json;
-use spg_server::{Reply, ServerConfig, ServerHandle, SpgClient, SpgServer};
+use spg_server::protocol::write_frame;
+use spg_server::{Reply, RetryPolicy, ServerConfig, ServerHandle, SpgClient, SpgServer};
 
 /// The shared test graph: small enough that every query is fast, dense
 /// enough that answers have non-trivial edge lists.
@@ -650,4 +653,101 @@ fn check_pipelined_burst_answered_once_per_id(shared_phase1: bool) {
 
     handle.shutdown();
     server.join().expect("clean server exit");
+}
+
+/// One client pipelines thousands of hits of a large answer and never
+/// reads, so its socket buffers fill and the batcher's write to it blocks.
+/// The write times out, the server hangs that connection up, and a query
+/// on another connection is answered within a bound that holds in a debug
+/// build. Without the write timeout the batcher blocks for good.
+#[test]
+fn a_client_that_stops_reading_does_not_wedge_other_connections() {
+    let server = SpgServer::bind(
+        gnm_random(4000, 24000, 7),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let serving = thread::spawn(move || server.run().expect("serving loop"));
+
+    // ⟨0, 7, 8⟩ answers with 2,144 edges: about 26 KB a reply.
+    let mut probe = connect(addr);
+    let big = probe.query(1, 0, 7, 8).expect("warm the large key");
+    assert!(
+        big.edges.as_ref().map_or(0, Vec::len) > 2000,
+        "a large answer"
+    );
+
+    let mut frames = Vec::new();
+    for id in 0..4000u64 {
+        let request = format!(r#"{{"id":{id},"op":"query","s":0,"t":7,"k":8}}"#);
+        write_frame(&mut frames, request.as_bytes()).expect("frame a request");
+    }
+    let stuck = TcpStream::connect(addr).expect("connect the stuck client");
+    stuck
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .expect("write timeout");
+    stuck
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut stuck_writer = stuck.try_clone().expect("clone the stuck socket");
+    // The server stops reading while it is blocked, so this write may end
+    // only when the server hangs up; its result is beside the point.
+    let sender = thread::spawn(move || {
+        let _ = stuck_writer.write_all(&frames);
+    });
+
+    // Wait until the stuck requests fill the admission queue. A refusal
+    // shows 1,024 of them queued at 26 KB of reply each, far more than the
+    // socket buffers hold, so the batcher must block on the stuck
+    // connection before it answers anything queued after them.
+    let patience = Instant::now();
+    loop {
+        let stats = probe.stats(3).expect("stats answer inline").raw;
+        let refused = stats
+            .get("server")
+            .and_then(|s| s.get("overloaded"))
+            .and_then(Json::as_u64)
+            .expect("overloaded counter");
+        if refused > 0 {
+            break;
+        }
+        assert!(
+            patience.elapsed() < Duration::from_secs(30),
+            "the stuck client's requests never filled the queue"
+        );
+    }
+
+    // The stuck requests may hold the whole admission queue, so the probe
+    // retries its refusals; the bound covers the retries too.
+    let retry = RetryPolicy {
+        max_attempts: 1000,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(5),
+        ..RetryPolicy::default()
+    };
+    let sent = Instant::now();
+    let reply = probe
+        .query_retrying(2, 3, 17, 6, None, &retry)
+        .expect("a reply on another connection");
+    let waited = sent.elapsed();
+    assert_eq!(reply.status, "ok");
+    assert!(
+        waited < Duration::from_secs(5),
+        "another connection waited {waited:?} behind a client that stopped reading"
+    );
+
+    // The stuck connection was hung up: reading it reaches the end.
+    let mut rest = Vec::new();
+    let end = (&stuck).read_to_end(&mut rest);
+    assert!(
+        !matches!(&end, Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+        "the server must hang up a connection whose write timed out: {end:?}"
+    );
+    sender.join().expect("the stuck client's sender");
+
+    handle.shutdown();
+    serving.join().expect("clean server exit");
 }
