@@ -276,8 +276,8 @@ impl Connection {
 /// `write` blocks for at most the socket's write timeout, [`WRITE_TIMEOUT`]
 /// on a server connection, so this gives up within twice `timeout`. A
 /// `write_all` alone would not: a blocked `write` that has taken a few bytes
-/// returns them instead of its timeout, and the kernel's growing buffers
-/// made three such writes in a row.
+/// returns them instead of its timeout, and while the kernel grows the
+/// socket's buffers such writes can follow one another.
 fn write_all_within(stream: &TcpStream, mut buf: &[u8], timeout: Duration) -> io::Result<()> {
     let mut stream = stream;
     let started = Instant::now();
